@@ -37,8 +37,7 @@ def main(argv=None) -> int:
         print(
             f"{name}: active={summary['n_active']} "
             f"clusters={summary['cluster_count']} "
-            f"compression={summary['compression_ratio']:.3f} "
-            f"build={summary['build_seconds']:.1f}s"
+            f"compression={summary['compression_ratio']:.3f}"
         )
     return 0
 

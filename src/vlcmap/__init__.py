@@ -3,9 +3,9 @@
 The package models a grid of multi-color LED transmitters serving
 photodiode receivers with color filters: Lambertian link gains, truncated-
 Gaussian layered signaling, closed-form achievable rates, greedy max-min
-decoding orders, position-indexed decoding maps with symmetry reuse and
-size reduction, and a genetic-algorithm transmitter-user association with
-iterative rate refinement.
+decoding orders, position-indexed decoding maps (one greedy solve per
+sample position) with size reduction, and a genetic-algorithm
+transmitter-user association with iterative rate refinement.
 """
 
 from .assoc import (
@@ -16,7 +16,7 @@ from .assoc import (
     iterative_rate_update,
     solve_association,
 )
-from .channel import ColorBand, ReceiverPlane, Scene, gain_vector, link_gain
+from .channel import ColorBand, ReceiverPlane, Scene, gain_vector
 from .cpgd import DecodingOrder, greedy_order
 from .decmap import DecodingMap, build_map, load_map, reduce_map, save_map
 from .errors import (
@@ -64,7 +64,6 @@ __all__ = [
     "greedy_order",
     "grid_scene",
     "iterative_rate_update",
-    "link_gain",
     "load_map",
     "load_scene",
     "model_at",

@@ -105,13 +105,6 @@ def local_rate_vector(order: DecodingOrder, table: LayerTable, tx: int) -> np.nd
     return out
 
 
-def global_rates(local_vectors: list[np.ndarray]) -> np.ndarray:
-    """Elementwise minimum fold of the users' local rate vectors."""
-    if not local_vectors:
-        raise InvalidParameterError("need at least one local vector")
-    return np.min(np.stack(local_vectors), axis=0)
-
-
 def assigned_sum_rate(rbar: np.ndarray, table: LayerTable, assignment) -> float:
     """Sum-rate objective: assigned transmitters' layers only."""
     total = 0.0
@@ -123,13 +116,6 @@ def assigned_sum_rate(rbar: np.ndarray, table: LayerTable, assignment) -> float:
             if math.isfinite(r):
                 total += float(r)
     return total
-
-
-def sentinel_rate_vector(rbar: np.ndarray) -> np.ndarray:
-    """1-based copy of a global rate vector with the index-0 zero sentinel."""
-    out = np.zeros(rbar.size + 1)
-    out[1:] = rbar
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +161,6 @@ class Association:
     objective: float
     orders: list[DecodingOrder]     # per-user decoding orders used
     depths: np.ndarray              # (N_r,) truncation stage per user, -1 unserved
-
-    def eta_matrix(self, n_tx: int) -> np.ndarray:
-        out = np.zeros((self.assignment.size, n_tx), dtype=int)
-        for j, tx in enumerate(self.assignment):
-            if tx >= 0:
-                out[j, tx] = 1
-        return out
 
 
 class _AssignmentProblem:

@@ -114,7 +114,7 @@ class ReceiverPlane:
 
 @dataclass
 class GridLayout:
-    """Regular transmitter-position grid, kept for symmetry exploitation.
+    """Regular transmitter-position grid: the array's index matrix.
 
     ``position_index[i, j]`` is the 0-based position label at the i-th x
     coordinate (ascending) and j-th y coordinate (ascending).
@@ -184,37 +184,14 @@ def half_power_semiangle_to_order(phi_half: float) -> float:
     return -math.log(2.0) / math.log(c)
 
 
-def link_gain(
-    scene: Scene, tx_index: int, rx_position: np.ndarray, rx_filter_index: int
-) -> float:
-    """Lambertian gain of one transmitter at one receiver position.
+def gain_vector(
+    scene: Scene, rx_position: np.ndarray, rx_filter_index: int
+) -> np.ndarray:
+    """Per-transmitter gains at one position, with negligible gains zeroed.
 
     Zero outside the FOV cone; includes the color-through-filter gain and the
     idealized concentrator gain n^2 / sin^2(fov).
     """
-    delta = np.asarray(rx_position, dtype=float) - scene.tx_positions[tx_index]
-    dist2 = float(delta @ delta)
-    if dist2 == 0.0:
-        raise GeometryError("receiver coincides with transmitter")
-    dist = math.sqrt(dist2)
-    cos_ang = delta[2] / dist
-    if cos_ang < math.cos(scene.fov):
-        return 0.0
-    t_s = scene.filter_matrix[scene.tx_color[tx_index], rx_filter_index]
-    if t_s == 0.0:
-        return 0.0
-    m1 = scene.lambertian_order
-    conc = scene.refractive_index**2 / math.sin(scene.fov) ** 2
-    return (
-        scene.pd_area * (m1 + 1.0) / (2.0 * math.pi * dist2)
-        * cos_ang**m1 * t_s * conc * cos_ang
-    )
-
-
-def gain_vector(
-    scene: Scene, rx_position: np.ndarray, rx_filter_index: int
-) -> np.ndarray:
-    """Per-transmitter gains at one position, with negligible gains zeroed."""
     rx = np.asarray(rx_position, dtype=float)
     delta = rx[None, :] - scene.tx_positions
     dist2 = np.einsum("ij,ij->i", delta, delta)

@@ -77,12 +77,11 @@ def map_group() -> None:
 @click.option("--tau", type=int, default=1, show_default=True,
               help="Maximum decoding-group size.")
 @click.option("--layers", type=int, default=None, help="Layers per transmitter.")
-@click.option("--symmetry/--no-symmetry", default=True, show_default=True)
 @click.option("--reduce/--no-reduce", "do_reduce", default=True, show_default=True)
 @click.option("--tau-diff", type=float, default=1e-5, show_default=True)
 @click.option("--tau-loss", type=float, default=0.1, show_default=True)
-def map_build(scene_path, outdir, filter_index, tau, layers, symmetry, do_reduce,
-              tau_diff, tau_loss) -> None:
+def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce, tau_diff,
+              tau_loss) -> None:
     """Solve the decoding order at every plane sample and store the map."""
 
     def go() -> None:
@@ -91,7 +90,6 @@ def map_build(scene_path, outdir, filter_index, tau, layers, symmetry, do_reduce
             filter_index=filter_index,
             tau=tau,
             layers_per_tx=spec.layers_per_tx,
-            use_symmetry=symmetry,
             reduce=do_reduce,
             tau_diff=tau_diff,
             tau_loss=tau_loss,
@@ -147,7 +145,6 @@ def map_inspect(map_path, at) -> None:
             info = {
                 "position": list(cell.position),
                 "outage": cell.order.outage,
-                "provenance": cell.provenance,
                 "cluster": cell.cluster,
             }
             if not cell.order.outage:
@@ -164,7 +161,6 @@ def map_inspect(map_path, at) -> None:
             "shape": list(dmap.shape),
             "n_cells": len(dmap.cells),
             "n_active": dmap.n_active,
-            "n_derived": sum(c.provenance == "derived" for c in dmap.cells),
             "cluster_count": dmap.cluster_count,
             "compression_ratio": dmap.compression_ratio,
         }, indent=2, sort_keys=True))

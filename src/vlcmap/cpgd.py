@@ -51,17 +51,6 @@ class DecodingOrder:
     position: tuple[float, ...] | None = None
     outage: bool = False
 
-    def group_of(self, layer_id: int) -> int:
-        """0-based stage index at which a layer is decoded."""
-        for m, grp in enumerate(self.groups):
-            if layer_id in grp:
-                return m
-        raise KeyError(layer_id)
-
-    @property
-    def min_rate(self) -> float:
-        return float(np.nanmin(self.rates)) if self.detectable else float("nan")
-
 
 def outage_order(n_layers: int, position=None) -> DecodingOrder:
     return DecodingOrder(
@@ -104,8 +93,8 @@ def greedy_order(
     taken: list[tuple[int, ...]] = []
     while remaining:
         # Selection uses the unclamped bound: clamping collapses all weak
-        # layers to rate 0 and the resulting ties would break the relabeling
-        # equivariance the symmetry-derived map cells rely on.
+        # layers to rate 0, and breaking those ties by layer id would make
+        # orders at mirrored positions differ by more than a relabeling.
         subs = subsets_in_bitmask_order(remaining, tau)
         vals = [
             achievable_rate(model, sub, extracted, clamp=False) / len(sub)

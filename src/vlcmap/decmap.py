@@ -1,9 +1,8 @@
-"""Position-indexed decoding maps: construction, symmetry reuse, clustering.
+"""Position-indexed decoding maps: construction, clustering, serialization.
 
 A map samples the receiver plane on a corner-inclusive grid and stores, per
 cell, the greedy decoding order and local rate allocation (or an outage
-marker).  On arrays with mirror/diagonal symmetry only a fundamental 1/8
-wedge is solved directly; the rest is obtained by relabeling transmitters.
+marker); every cell is one direct greedy solve at its position.
 Clustering (the size-reduction pass) groups cells whose decoding orders are
 interchangeable up to a small normalized rate loss.
 """
@@ -13,180 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Scene, gain_vector
 from .cpgd import DecodingOrder, greedy_order, outage_order, rates_under_fixed_order
-from .errors import IncompatiblePositionsError, InvalidParameterError
+from .errors import ConfigError, IncompatiblePositionsError
 from .rates import LN2, RateModel, geometric_tiebreak, model_at
 from .signaling import LayerTable
-
-TRANSFORMS = ("diagonal", "horizontal", "vertical")
-
-
-# ---------------------------------------------------------------------------
-# Index-matrix symmetry transforms
-
-
-@dataclass(frozen=True)
-class IndexMatrix:
-    """Matrix of transmitter labels laid out on the array grid."""
-
-    labels: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.labels), len(self.labels[0])
-
-    def locate(self, label: int) -> tuple[int, int]:
-        for i, row in enumerate(self.labels):
-            for j, val in enumerate(row):
-                if val == label:
-                    return i, j
-        raise KeyError(label)
-
-
-def transformed_labels(matrix: IndexMatrix, transform: str) -> IndexMatrix:
-    """The relabeled matrix for one reflection.
-
-    ``vertical`` reflects across the vertical center line (row flip),
-    ``horizontal`` across the horizontal center line (column flip),
-    ``diagonal`` is the anti-transpose (square arrays only).
-    """
-    a = np.array(matrix.labels)
-    nh, nv = a.shape
-    if transform == "vertical":
-        out = a[::-1, :]
-    elif transform == "horizontal":
-        out = a[:, ::-1]
-    elif transform == "diagonal":
-        if nh != nv:
-            raise InvalidParameterError("diagonal transform needs a square array")
-        out = a[::-1, ::-1].T
-    else:
-        raise InvalidParameterError(f"unknown transform {transform!r}")
-    return IndexMatrix(tuple(tuple(int(v) for v in row) for row in out))
-
-
-def label_permutation(matrix: IndexMatrix, transform: str) -> dict[int, int]:
-    """Per-transmitter relabeling induced by one reflection."""
-    perm_matrix = transformed_labels(matrix, transform)
-    out = {}
-    for i, row in enumerate(matrix.labels):
-        for j, label in enumerate(row):
-            out[label] = perm_matrix.labels[i][j]
-    return out
-
-
-def symmetry_transform(
-    groups: list[tuple[tuple[int, int], ...]],
-    matrix: IndexMatrix,
-    transform: str,
-) -> list[tuple[tuple[int, int], ...]]:
-    """Relabel a decoding order of (transmitter, layer) pairs across a mirror."""
-    perm = label_permutation(matrix, transform)
-    return [tuple((perm[i], k) for (i, k) in grp) for grp in groups]
-
-
-# ---------------------------------------------------------------------------
-# Scene-level symmetry helpers
-
-
-def _position_permutation(scene: Scene, transform: str) -> np.ndarray | None:
-    """Permutation of position labels under a reflection, or None if unusable."""
-    layout = scene.layout
-    if layout is None:
-        return None
-    if transform == "diagonal" and (
-        layout.n_x != layout.n_y or layout.spacing_x != layout.spacing_y
-    ):
-        return None
-    idx = layout.position_index
-    if transform == "vertical":
-        image = idx[::-1, :]
-    elif transform == "horizontal":
-        image = idx[:, ::-1]
-    else:
-        image = idx[::-1, ::-1].T
-    perm = np.empty(idx.size, dtype=int)
-    perm[idx.ravel()] = image.ravel()
-    return perm
-
-
-def _uniform_positions(scene: Scene) -> bool:
-    """True when every array position carries identical colors and powers."""
-    layout = scene.layout
-    if layout is None or getattr(layout, "tx_position", None) is None:
-        return False
-    groups: dict[int, list[int]] = {}
-    for t, p in enumerate(layout.tx_position):
-        groups.setdefault(int(p), []).append(t)
-    sigs = {
-        tuple(
-            (int(scene.tx_color[t]), float(scene.peak_power[t]), float(scene.avg_power[t]))
-            for t in txs
-        )
-        for txs in groups.values()
-    }
-    return len(sigs) == 1
-
-
-def available_transforms(scene: Scene) -> tuple[str, ...]:
-    """Reflections under which the transmitter configuration is invariant."""
-    if not _uniform_positions(scene):
-        return ()
-    plane = scene.plane
-    out = []
-    for name in ("vertical", "horizontal"):
-        if _position_permutation(scene, name) is not None:
-            out.append(name)
-    if (
-        "vertical" in out
-        and "horizontal" in out
-        and _position_permutation(scene, "diagonal") is not None
-        and plane.width == plane.length
-    ):
-        out.append("diagonal")
-    return tuple(out)
-
-
-def layer_permutation(
-    scene: Scene, table: LayerTable, transform: str
-) -> np.ndarray:
-    """Permutation of 0-based layer ids under one reflection."""
-    layout = scene.layout
-    pos_perm = _position_permutation(scene, transform)
-    if pos_perm is None:
-        raise InvalidParameterError(f"transform {transform!r} unavailable for this scene")
-    # Transmitter at (position p, color slot c) maps to the same slot at the
-    # image position; transmitters are ordered position-major by construction.
-    by_pos: dict[int, list[int]] = {}
-    for t, p in enumerate(layout.tx_position):
-        by_pos.setdefault(int(p), []).append(t)
-    tx_perm = np.empty(scene.n_tx, dtype=int)
-    for p, txs in by_pos.items():
-        for slot, t in enumerate(txs):
-            tx_perm[t] = by_pos[int(pos_perm[p])][slot]
-    out = np.empty(table.n_layers, dtype=int)
-    for k in range(table.n_layers):
-        out[k] = table.layer_id(int(tx_perm[table.tx[k]]), int(table.layer_no[k]))
-    return out
-
-
-def apply_layer_permutation(order: DecodingOrder, perm: np.ndarray) -> DecodingOrder:
-    """Relabel an order's layers, carrying rates along as permuted copies."""
-    rates = np.full_like(order.rates, np.nan)
-    rates[perm] = order.rates
-    return DecodingOrder(
-        groups=[tuple(sorted(int(perm[k]) for k in grp)) for grp in order.groups],
-        rates=rates,
-        detectable=tuple(sorted(int(perm[k]) for k in order.detectable)),
-        position=None,
-        outage=order.outage,
-    )
-
 
 # ---------------------------------------------------------------------------
 # Map construction
@@ -198,9 +32,6 @@ class MapCell:
     iy: int
     position: tuple[float, float, float]
     order: DecodingOrder
-    provenance: str = "computed"          # or "derived"
-    source: tuple[int, int] | None = None
-    transforms: tuple[str, ...] = ()
     cluster: int = -1
 
 
@@ -261,90 +92,25 @@ def scene_fingerprint(scene: Scene) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _has_duplicate_tx_gains(gains: np.ndarray, rtol: float = 1e-9) -> bool:
-    """Near-equal gains from (almost) equidistant transmitters.
-
-    Exact equality is not enough: grid positions equidistant from two
-    transmitters give gains that differ only in the last few ulps, and the
-    greedy tie-break then flips between mirror cells.
-    """
-    nz = np.sort(gains[gains != 0.0])
-    return nz.size > 1 and bool(np.any(np.diff(nz) <= rtol * nz[-1]))
-
-
 def build_map(
     scene: Scene,
     table: LayerTable,
     filter_index: int,
     tau: int = 1,
-    use_symmetry: bool = True,
 ) -> DecodingMap:
-    """Solve the greedy order at every sample position of the receiver plane.
-
-    With ``use_symmetry`` and a symmetric array, only cells inside the
-    fundamental wedge (and cells whose gain vectors carry exact ties, where
-    relabel-equivariance is not guaranteed) are solved directly; the rest are
-    relabeled copies of their wedge source.
-    """
+    """Solve the greedy order at every sample position of the receiver plane."""
     xs, ys = scene.plane.grid()
-    nx, ny = xs.size, ys.size
     z = scene.plane.height
-    transforms = available_transforms(scene) if use_symmetry else ()
-    perms = {t: layer_permutation(scene, table, t) for t in transforms}
-
-    gains = np.empty((nx * ny, scene.n_tx))
-    for ix in range(nx):
-        for iy in range(ny):
-            gains[ix * ny + iy] = gain_vector(scene, (xs[ix], ys[iy], z), filter_index)
+    noise_var = scene.sigma**2
     # Same tie-break keys model_at_position uses, so map cells agree with
     # direct per-position recomputation.
     tiebreak = geometric_tiebreak(scene, table)
-
-    def rep_sequence(ix: int, iy: int) -> tuple[tuple[int, int], list[str]]:
-        """Wedge representative of a cell and the reflections mapping it out."""
-        u, v = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
-        seq: list[str] = []
-        if u < 0 and "vertical" in transforms:
-            u = -u
-            seq.append("vertical")
-        if v < 0 and "horizontal" in transforms:
-            v = -v
-            seq.append("horizontal")
-        if u > v and "diagonal" in transforms:
-            u, v = v, u
-            seq += ["diagonal", "vertical", "horizontal"]
-        return ((u + (nx - 1)) // 2, (v + (ny - 1)) // 2), list(reversed(seq))
-
-    noise_var = scene.sigma**2
     cells: list[MapCell] = []
-    computed: dict[tuple[int, int], DecodingOrder] = {}
-
-    def solve(ix: int, iy: int) -> DecodingOrder:
-        if (ix, iy) not in computed:
-            model = model_at(table, gains[ix * ny + iy], noise_var, tiebreak)
-            computed[(ix, iy)] = greedy_order(
-                model, tau=tau, position=(float(xs[ix]), float(ys[iy]), z)
-            )
-        return computed[(ix, iy)]
-
-    for ix in range(nx):
-        for iy in range(ny):
-            pos = (float(xs[ix]), float(ys[iy]), z)
-            (sx, sy), seq = rep_sequence(ix, iy)
-            derived = bool(seq) and not _has_duplicate_tx_gains(gains[ix * ny + iy])
-            if derived:
-                order = solve(sx, sy)
-                if order.outage:
-                    order = outage_order(table.n_layers, pos)
-                else:
-                    for t in seq:
-                        order = apply_layer_permutation(order, perms[t])
-                    order.position = pos
-                cells.append(
-                    MapCell(ix, iy, pos, order, "derived", (sx, sy), tuple(seq))
-                )
-            else:
-                cells.append(MapCell(ix, iy, pos, solve(ix, iy)))
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            pos = (float(x), float(y), z)
+            model = model_at(table, gain_vector(scene, pos, filter_index), noise_var, tiebreak)
+            cells.append(MapCell(ix, iy, pos, greedy_order(model, tau=tau, position=pos)))
     return DecodingMap(
         scene_hash=scene_fingerprint(scene),
         filter_index=filter_index,
@@ -538,23 +304,11 @@ def _peel_categories(
         cats = new
 
 
-def max_average_loss(dmap: DecodingMap, clusters: list[list[int]], dist_fn) -> float:
-    """Largest within-cluster average distance after reduction."""
-    worst = 0.0
-    for members in clusters:
-        if len(members) < 2:
-            continue
-        for i in members:
-            avg = sum(dist_fn(i, j) for j in members) / len(members)
-            worst = max(worst, avg)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
 MAP_FORMAT = "vlcmap-decoding-map"
-MAP_VERSION = 1
+MAP_VERSION = 2
 
 
 def _order_payload(order: DecodingOrder) -> dict:
@@ -586,9 +340,6 @@ def save_map(dmap: DecodingMap, path) -> None:
                 "ix": c.ix,
                 "iy": c.iy,
                 "position": list(c.position),
-                "provenance": c.provenance,
-                "source": list(c.source) if c.source else None,
-                "transforms": list(c.transforms),
                 "cluster": c.cluster,
                 **_order_payload(c.order),
             }
@@ -599,53 +350,95 @@ def save_map(dmap: DecodingMap, path) -> None:
         json.dump(payload, fh)
 
 
-def load_map(path) -> DecodingMap:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MAP_FORMAT:
-        raise InvalidParameterError(f"not a decoding map file: {path}")
-    n_layers = payload["n_layers"]
-    cells = []
-    for rec in payload["cells"]:
-        if rec["outage"]:
-            order = outage_order(n_layers, tuple(rec["position"]))
-        else:
-            groups = [tuple(k - 1 for k in grp) for grp in rec["groups"]]
-            rates = np.full(n_layers, np.nan)
-            flat = [k for grp in groups for k in grp]
-            for k, r in zip(flat, rec["rates"]):
-                rates[k] = r
-            order = DecodingOrder(
-                groups=groups,
-                rates=rates,
-                detectable=tuple(sorted(flat)),
-                position=tuple(rec["position"]),
-            )
-        cells.append(
-            MapCell(
-                rec["ix"],
-                rec["iy"],
-                tuple(rec["position"]),
-                order,
-                rec["provenance"],
-                tuple(rec["source"]) if rec["source"] else None,
-                tuple(rec["transforms"]),
-                rec["cluster"],
-            )
+def _field(record: dict, key: str, *types):
+    """``record[key]``, checked to have one of the JSON ``types``."""
+    value = record[key]
+    if type(value) not in types:
+        raise TypeError(f"field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _numbers(record: dict, key: str, size: int | None = None) -> list:
+    """``record[key]`` as a list of numbers, of length ``size`` if given."""
+    values = _field(record, key, list)
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"field {key!r} must hold numbers only")
+    if size is not None and len(values) != size:
+        raise ValueError(f"field {key!r} must hold {size} numbers")
+    return values
+
+
+def _cell_record(rec, n_layers: int) -> MapCell:
+    """One map cell from its JSON record, every field checked."""
+    if type(rec) is not dict:
+        raise TypeError("cell record is not an object")
+    position = tuple(_numbers(rec, "position", 3))
+    if _field(rec, "outage", bool):
+        order = outage_order(n_layers, position)
+    else:
+        raw = _field(rec, "groups", list)
+        if not all(type(grp) is list and grp for grp in raw):
+            raise TypeError("decoding groups must be non-empty lists")
+        ids = [k for grp in raw for k in grp]
+        if not set(map(type, ids)) <= {int} or not 1 <= min(ids) <= max(ids) <= n_layers:
+            raise ValueError(f"layer ids must be integers in 1..{n_layers}")
+        if len(set(ids)) != len(ids):
+            raise ValueError("a layer appears in two decoding groups")
+        groups = [tuple(k - 1 for k in grp) for grp in raw]
+        flat = [k - 1 for k in ids]
+        values = _numbers(rec, "rates", len(flat))
+        rates = np.full(n_layers, np.nan)
+        rates[flat] = values
+        order = DecodingOrder(
+            groups=groups, rates=rates, detectable=tuple(sorted(flat)), position=position
         )
-    dmap = DecodingMap(
-        scene_hash=payload["scene_hash"],
-        filter_index=payload["filter_index"],
-        tau=payload["tau"],
-        noise_var=payload["noise_var"],
-        xs=np.array(payload["xs"]),
-        ys=np.array(payload["ys"]),
-        n_layers=n_layers,
-        cells=cells,
-        thresholds=tuple(payload["thresholds"]) if payload["thresholds"] else None,
-        cluster_count=payload["cluster_count"],
+    return MapCell(
+        _field(rec, "ix", int), _field(rec, "iy", int), position, order,
+        _field(rec, "cluster", int),
     )
-    return dmap
+
+
+def load_map(path) -> DecodingMap:
+    """Read a map written by :func:`save_map`.
+
+    Another format or version, malformed JSON, or a missing or wrongly typed
+    field raises :class:`ConfigError`.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if type(payload) is not dict or payload.get("format") != MAP_FORMAT:
+            raise ConfigError(f"not a decoding map file: {path}")
+        if payload.get("version") != MAP_VERSION:
+            raise ConfigError(
+                f"map file {path} has version {payload.get('version')!r}; "
+                f"this version of vlcmap reads version {MAP_VERSION}"
+            )
+        n_layers = _field(payload, "n_layers", int)
+        xs = np.array(_numbers(payload, "xs"), dtype=float)
+        ys = np.array(_numbers(payload, "ys"), dtype=float)
+        cells = [_cell_record(rec, n_layers) for rec in _field(payload, "cells", list)]
+        if len(cells) != xs.size * ys.size:
+            raise ValueError(f"{len(cells)} cells for a {xs.size}x{ys.size} grid")
+        thresholds = None
+        if payload["thresholds"] is not None:
+            thresholds = tuple(_numbers(payload, "thresholds", 2))
+        return DecodingMap(
+            scene_hash=_field(payload, "scene_hash", str),
+            filter_index=_field(payload, "filter_index", int),
+            tau=_field(payload, "tau", int),
+            noise_var=float(_field(payload, "noise_var", int, float)),
+            xs=xs,
+            ys=ys,
+            n_layers=n_layers,
+            cells=cells,
+            thresholds=thresholds,
+            cluster_count=_field(payload, "cluster_count", int),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"bad map file {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad map file {path}: {exc}") from exc
 
 
 def export_cluster_csv(dmap: DecodingMap, path) -> None:

@@ -27,7 +27,3 @@ class IncompatiblePositionsError(VlcError):
 
 class InfeasibleError(VlcError):
     """No feasible transmitter-user assignment exists."""
-
-
-class ConvergenceWarning(VlcError):
-    """Iterative refinement stopped before meeting its tolerance."""

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .signaling import LayerTable, build_layer_set
 
 
 def _write_manifest(outdir: Path, kind: str, params: dict) -> None:
-    payload = {"kind": kind, "params": params, "elapsed_s": params.pop("_elapsed", None)}
+    payload = {"kind": kind, "params": params}
     with open(outdir / "run.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
@@ -51,7 +50,6 @@ class MapExperimentConfig:
     filter_index: int = 0
     tau: int = 1
     layers_per_tx: int = 2
-    use_symmetry: bool = True
     reduce: bool = True
     tau_diff: float = 1e-5
     tau_loss: float = 0.1
@@ -62,16 +60,12 @@ def run_map_experiment(
 ) -> dict:
     """Build (and optionally reduce) a decoding map; write artifacts.
 
-    Returns a summary dict: cell counts, compression ratio and timings.
+    Returns a summary dict: cell counts and compression ratio.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     table = build_layer_set(scene, cfg.layers_per_tx)
-    dmap = build_map(
-        scene, table, cfg.filter_index, tau=cfg.tau, use_symmetry=cfg.use_symmetry
-    )
-    t_build = time.perf_counter() - t0
+    dmap = build_map(scene, table, cfg.filter_index, tau=cfg.tau)
     summary = {
         "scene_hash": dmap.scene_hash,
         "filter_index": cfg.filter_index,
@@ -79,17 +73,11 @@ def run_map_experiment(
         "n_cells": len(dmap.cells),
         "n_active": dmap.n_active,
         "n_outage": len(dmap.cells) - dmap.n_active,
-        "n_computed": sum(c.provenance == "computed" for c in dmap.cells),
-        "n_derived": sum(c.provenance == "derived" for c in dmap.cells),
-        "build_seconds": t_build,
     }
     if cfg.reduce:
-        t1 = time.perf_counter()
         clusters = reduce_map(dmap, scene, table, cfg.tau_diff, cfg.tau_loss)
         summary.update(
-            cluster_count=len(clusters),
-            compression_ratio=dmap.compression_ratio,
-            reduce_seconds=time.perf_counter() - t1,
+            cluster_count=len(clusters), compression_ratio=dmap.compression_ratio
         )
     save_map(dmap, outdir / "map.json")
     export_cluster_csv(dmap, outdir / "cells.csv")
@@ -156,7 +144,6 @@ def run_assoc_experiment(
         if dmap is not None
         else DirectSolver(scene, table, cfg.filter_index, cfg.tau)
     )
-    t0 = time.perf_counter()
     assoc = solve_association(solver, user_positions, table, cfg.ga)
     result = {
         "n_users": len(user_positions),
@@ -186,7 +173,6 @@ def run_assoc_experiment(
         if result["n_served"]
         else float("nan")
     )
-    result["elapsed_s"] = time.perf_counter() - t0
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -283,7 +269,6 @@ def run_sweep_experiment(
         raise InvalidParameterError(f"unknown sweep plane {cfg.plane!r}")
 
     rows: list[dict] = []
-    t0 = time.perf_counter()
     for a in _axis(*cfg.a_range, cfg.step):
         for b in _axis(*cfg.b_range, cfg.step):
             anchor = (a, b, cfg.fixed) if cfg.plane == "xy" else (cfg.fixed, a, b)
@@ -345,7 +330,6 @@ def run_sweep_experiment(
             "grid_spacing": cfg.grid_spacing,
             "ga": asdict(acfg.ga),
             "scene_hash": scene_fingerprint(scene),
-            "_elapsed": time.perf_counter() - t0,
         },
     )
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,14 +92,6 @@ def model_at_position(
         scene.sigma**2,
         geometric_tiebreak(scene, table),
     )
-
-
-def stage_noise_variance(model: RateModel, undecoded: Iterable[int]) -> float:
-    """AWGN variance of a decoding stage: sigma^2 plus undecoded layer power."""
-    idx = np.fromiter(undecoded, dtype=int)
-    if idx.size == 0:
-        return model.noise_var
-    return model.noise_var + float(model.power[idx].sum())
 
 
 def achievable_rate(

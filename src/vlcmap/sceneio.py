@@ -1,9 +1,8 @@
 """Scene construction from configuration files and programmatic builders.
 
-Scenes are built in coordinates centered on the transmitter array so that
-mirrored grid positions are exact floating-point negations of each other;
-this is what makes symmetry-derived map cells bit-identical to directly
-computed ones.
+Scenes are built in coordinates centered on the transmitter array, so
+mirrored grid positions are exact floating-point negations of each other
+and mirrored map cells see mirrored link gains.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .channel import (
     GridLayout,
     ReceiverPlane,
     Scene,
-    link_gain,
+    gain_vector,
 )
 from .errors import ConfigError, InvalidParameterError
 
@@ -113,7 +112,7 @@ def calibrate_noise(
     """
     tx = scene.tx_positions[reference_tx]
     rx = np.array([tx[0], tx[1], tx[2] + scene.plane.height])
-    h_ref = link_gain(scene, reference_tx, rx, reference_filter)
+    h_ref = gain_vector(scene, rx, reference_filter)[reference_tx]
     if h_ref == 0.0:
         raise InvalidParameterError("reference link has zero gain")
     return float(scene.peak_power[reference_tx]) * h_ref / 10.0 ** (snr_db / 20.0)

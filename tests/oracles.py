@@ -1,8 +1,11 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately written the slow, obvious way (quadrature,
-explicit covariance algebra, brute-force enumeration) so that agreement
-with the fast closed forms in the package is meaningful.
+Everything here is deliberately written the slow, obvious way (per-link
+gains, quadrature, explicit covariance algebra, brute-force enumeration)
+so that agreement with the fast closed forms in the package is meaningful.
+The reflection relabeling of the transmitter array is the symmetry
+reference: greedy orders at mirrored positions must be its relabelings,
+and a map rebuilt from its 1/8 wedge must equal the directly solved map.
 """
 
 from __future__ import annotations
@@ -13,9 +16,159 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from vlcmap.channel import Scene, gain_vector
+from vlcmap.cpgd import DecodingOrder, outage_order
+from vlcmap.errors import GeometryError, InvalidParameterError
 from vlcmap.rates import RateModel
+from vlcmap.signaling import LayerTable
 
 LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar link gain
+
+
+def link_gain(
+    scene: Scene, tx_index: int, rx_position: np.ndarray, rx_filter_index: int
+) -> float:
+    """Lambertian gain of one transmitter at one receiver position.
+
+    Zero outside the FOV cone; includes the color-through-filter gain and the
+    idealized concentrator gain n^2 / sin^2(fov).
+    """
+    delta = np.asarray(rx_position, dtype=float) - scene.tx_positions[tx_index]
+    dist2 = float(delta @ delta)
+    if dist2 == 0.0:
+        raise GeometryError("receiver coincides with transmitter")
+    dist = math.sqrt(dist2)
+    cos_ang = delta[2] / dist
+    if cos_ang < math.cos(scene.fov):
+        return 0.0
+    t_s = scene.filter_matrix[scene.tx_color[tx_index], rx_filter_index]
+    if t_s == 0.0:
+        return 0.0
+    m1 = scene.lambertian_order
+    conc = scene.refractive_index**2 / math.sin(scene.fov) ** 2
+    return (
+        scene.pd_area * (m1 + 1.0) / (2.0 * math.pi * dist2)
+        * cos_ang**m1 * t_s * conc * cos_ang
+    )
+
+
+# ---------------------------------------------------------------------------
+# Relabeling under the array's reflections
+
+
+def _position_permutation(scene: Scene, transform: str) -> np.ndarray | None:
+    """Permutation of position labels under a reflection, or None if unusable."""
+    layout = scene.layout
+    if layout is None:
+        return None
+    if transform == "diagonal" and (
+        layout.n_x != layout.n_y or layout.spacing_x != layout.spacing_y
+    ):
+        return None
+    idx = layout.position_index
+    if transform == "vertical":
+        image = idx[::-1, :]
+    elif transform == "horizontal":
+        image = idx[:, ::-1]
+    elif transform == "diagonal":
+        image = idx[::-1, ::-1].T
+    else:
+        return None
+    perm = np.empty(idx.size, dtype=int)
+    perm[idx.ravel()] = image.ravel()
+    return perm
+
+
+def layer_permutation(scene: Scene, table: LayerTable, transform: str) -> np.ndarray:
+    """Permutation of 0-based layer ids under one reflection of the array.
+
+    ``vertical`` reverses the x order of the array positions, ``horizontal``
+    the y order, ``diagonal`` is the anti-transpose (square arrays only).
+    """
+    layout = scene.layout
+    pos_perm = _position_permutation(scene, transform)
+    if pos_perm is None:
+        raise InvalidParameterError(f"transform {transform!r} unavailable for this scene")
+    # Transmitter at (position p, color slot c) maps to the same slot at the
+    # image position; transmitters are ordered position-major by construction.
+    by_pos: dict[int, list[int]] = {}
+    for t, p in enumerate(layout.tx_position):
+        by_pos.setdefault(int(p), []).append(t)
+    tx_perm = np.empty(scene.n_tx, dtype=int)
+    for p, txs in by_pos.items():
+        for slot, t in enumerate(txs):
+            tx_perm[t] = by_pos[int(pos_perm[p])][slot]
+    out = np.empty(table.n_layers, dtype=int)
+    for k in range(table.n_layers):
+        out[k] = table.layer_id(int(tx_perm[table.tx[k]]), int(table.layer_no[k]))
+    return out
+
+
+def apply_layer_permutation(order: DecodingOrder, perm: np.ndarray) -> DecodingOrder:
+    """Relabel an order's layers, carrying rates along as permuted copies."""
+    rates = np.full_like(order.rates, np.nan)
+    rates[perm] = order.rates
+    return DecodingOrder(
+        groups=[tuple(sorted(int(perm[k]) for k in grp)) for grp in order.groups],
+        rates=rates,
+        detectable=tuple(sorted(int(perm[k]) for k in order.detectable)),
+        position=None,
+        outage=order.outage,
+    )
+
+
+def _has_near_tied_gains(gains: np.ndarray, rtol: float = 1e-9) -> bool:
+    """Near-equal gains from (almost) equidistant transmitters.
+
+    At such positions the greedy tie-break may pick either mirror image,
+    so the order there is not a relabeling of its wedge source.
+    """
+    nz = np.sort(gains[gains != 0.0])
+    return nz.size > 1 and bool(np.any(np.diff(nz) <= rtol * nz[-1]))
+
+
+def wedge_relabeled_orders(scene: Scene, table: LayerTable, dmap) -> list[DecodingOrder]:
+    """The orders a symmetry-wedge build of ``dmap`` would give, cell by cell.
+
+    Every cell outside the fundamental wedge of the array's reflections and
+    free of near-tied transmitter gains takes the relabeled order of its
+    wedge source; every other cell keeps its own order.
+    """
+    nx, ny = dmap.shape
+    z = scene.plane.height
+    perms = {}
+    for t in ("vertical", "horizontal", "diagonal"):
+        try:
+            perms[t] = layer_permutation(scene, table, t)
+        except InvalidParameterError:
+            pass
+    out = []
+    for cell in dmap.cells:
+        u, v = 2 * cell.ix - (nx - 1), 2 * cell.iy - (ny - 1)
+        seq: list[str] = []
+        if u < 0 and "vertical" in perms:
+            u, seq = -u, seq + ["vertical"]
+        if v < 0 and "horizontal" in perms:
+            v, seq = -v, seq + ["horizontal"]
+        if u > v and "diagonal" in perms:
+            u, v = v, u
+            seq += ["diagonal", "vertical", "horizontal"]
+        gains = gain_vector(scene, (dmap.xs[cell.ix], dmap.ys[cell.iy], z), dmap.filter_index)
+        if not seq or _has_near_tied_gains(gains):
+            out.append(cell.order)
+            continue
+        order = dmap.cell((u + nx - 1) // 2, (v + ny - 1) // 2).order
+        if order.outage:
+            out.append(outage_order(table.n_layers, cell.position))
+            continue
+        for t in reversed(seq):
+            order = apply_layer_permutation(order, perms[t])
+        out.append(order)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +320,19 @@ def exhaustive_assignments(candidates: dict[int, list[int]]):
             used.remove(tx)
 
     yield from rec(0, set(), {})
+
+
+# ---------------------------------------------------------------------------
+# Map size reduction
+
+
+def max_average_loss(clusters, dist_fn) -> float:
+    """Largest within-cluster average distance, one pair at a time."""
+    worst = 0.0
+    for members in clusters:
+        if len(members) < 2:
+            continue
+        for i in members:
+            avg = sum(dist_fn(i, j) for j in members) / len(members)
+            worst = max(worst, avg)
+    return worst

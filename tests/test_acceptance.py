@@ -2,9 +2,9 @@
 
 Each test class checks one deliverable-level behavior at its stated
 tolerance and budget: channel calibration, signaling moments, the rate
-closed form, greedy optimality, symmetry soundness, map clustering,
-association optimality, refinement monotonicity, the coverage-sweep shape
-and CLI determinism.
+closed form, greedy optimality, mirror symmetry of greedy orders, map
+clustering, association optimality, refinement monotonicity, the
+coverage-sweep shape and byte-identical CLI artifacts.
 """
 
 import time
@@ -25,19 +25,20 @@ from vlcmap.assoc import (
 from vlcmap.channel import filter_gain_matrix, gain_vector
 from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
-from vlcmap.decmap import (
-    _distance_matrix_tau1,
-    apply_layer_permutation,
-    build_map,
-    layer_permutation,
-    reduce_map,
-)
+from vlcmap.decmap import _distance_matrix_tau1, build_map, reduce_map
 from vlcmap.experiments import AssocExperimentConfig, run_assoc_experiment, user_grid
 from vlcmap.rates import achievable_rate, model_at_position
 from vlcmap.sceneio import DEFAULT_BANDS, DEFAULT_FILTERS, reference_scene
 from vlcmap.signaling import build_layer_set, tg_moments
 
-from oracles import best_min_rate, covariance_rate, tg_quadrature
+from oracles import (
+    apply_layer_permutation,
+    best_min_rate,
+    covariance_rate,
+    layer_permutation,
+    tg_quadrature,
+    wedge_relabeled_orders,
+)
 from test_channel import REFERENCE_FILTER_MATRIX
 from test_rates import random_model
 
@@ -109,7 +110,7 @@ class TestGreedyOptimality:
 
 
 class TestSymmetrySoundness:
-    """5. Relabeled mirror copies equal directly computed orders."""
+    """5. The greedy order at a mirrored position is the relabeled order."""
 
     def test_fifty_random_mirrored_pairs(self, benchmark_scene, benchmark_table, rng):
         scene, table = benchmark_scene, benchmark_table
@@ -132,16 +133,16 @@ class TestSymmetrySoundness:
     def test_wedge_build_equals_full_recomputation(
         self, benchmark_scene, benchmark_table, benchmark_map
     ):
-        full = build_map(benchmark_scene, benchmark_table, 0, use_symmetry=False)
-        for sym_cell, dir_cell in zip(benchmark_map.cells, full.cells):
-            assert sym_cell.order.outage == dir_cell.order.outage
-            if sym_cell.order.outage:
+        relabeled = wedge_relabeled_orders(benchmark_scene, benchmark_table, benchmark_map)
+        for sym_order, dir_cell in zip(relabeled, benchmark_map.cells):
+            assert sym_order.outage == dir_cell.order.outage
+            if sym_order.outage:
                 continue
-            assert sym_cell.order.groups == dir_cell.order.groups
+            assert sym_order.groups == dir_cell.order.groups
             # Diagonal relabeling swaps the x/y terms of the squared link
             # distance, so rates can differ in the last bit.
             np.testing.assert_allclose(
-                sym_cell.order.rates, dir_cell.order.rates, rtol=0, atol=1e-12
+                sym_order.rates, dir_cell.order.rates, rtol=0, atol=1e-12
             )
 
 
@@ -268,19 +269,46 @@ class TestCoverageSweepShape:
             assert rate[a] < 0.5 * peak
 
 
+def _tree(root):
+    """Every file under ``root``, by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
 class TestDeterminism:
-    """10. Identical seeds give byte-identical sweep artifacts."""
+    """10. Identical inputs give byte-identical artifacts, every file of them."""
+
+    runner = CliRunner()
+
+    def _twice(self, tmp_path, args):
+        out1, out2 = tmp_path / "one", tmp_path / "two"
+        for out in (out1, out2):
+            res = self.runner.invoke(main, args + ["--out", str(out)])
+            assert res.exit_code == 0, res.output
+        one, two = _tree(out1), _tree(out2)
+        assert one, "the run wrote no artifacts"
+        assert one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
+        return one
 
     def test_sweep_runs_byte_identical(self, tmp_path):
-        runner = CliRunner()
-        args = [
+        files = self._twice(tmp_path, [
             "sweep", "run",
             "--a-range", "-0.1", "0.1", "--b-range", "0.0", "0.0",
             "--population", "16", "--generations", "30", "--seed", "11",
-        ]
-        out1, out2 = tmp_path / "one", tmp_path / "two"
-        r1 = runner.invoke(main, args + ["--out", str(out1)])
-        r2 = runner.invoke(main, args + ["--out", str(out2)])
-        assert r1.exit_code == 0, r1.output
-        assert r2.exit_code == 0, r2.output
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        ])
+        assert set(files) == {"run.json", "sweep.csv"}
+
+    def test_map_build_byte_identical(self, tmp_path):
+        files = self._twice(tmp_path, ["map", "build"])
+        assert set(files) == {"cells.csv", "layers.csv", "map.json", "run.json", "summary.json"}
+
+    def test_assoc_solve_byte_identical(self, tmp_path):
+        users = tmp_path / "users.csv"
+        users.write_text("x,y,z\n0.1,0.0,2.0\n-0.1,0.2,2.0\n0.3,-0.2,2.0\n")
+        files = self._twice(tmp_path, [
+            "assoc", "solve", "--users", str(users),
+            "--population", "16", "--generations", "30", "--seed", "11",
+        ])
+        assert set(files) == {"association.csv", "run.json", "summary.json"}

@@ -9,15 +9,13 @@ from vlcmap.assoc import (
     _AssignmentProblem,
     assigned_sum_rate,
     exhaustive_association,
-    global_rates,
     iterative_rate_update,
     local_rate_vector,
-    sentinel_rate_vector,
     solve_association,
     truncate_depth,
 )
 from vlcmap.cpgd import DecodingOrder
-from vlcmap.errors import InfeasibleError, InvalidParameterError
+from vlcmap.errors import InfeasibleError
 from vlcmap.experiments import user_grid
 from vlcmap.signaling import build_layer_set
 
@@ -79,18 +77,27 @@ class TestLocalRateVector:
 
 
 class TestGlobalFold:
-    def test_elementwise_minimum(self):
-        a = np.array([0.1, np.inf, 0.5])
-        b = np.array([0.2, 0.3, np.inf])
-        np.testing.assert_array_equal(global_rates([a, b]), [0.1, 0.3, 0.5])
+    """The global rate vector is the elementwise minimum of the chosen local rows."""
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            global_rates([])
+    def test_elementwise_minimum(self, corner_problem):
+        scene, table, solver, users = corner_problem
+        problem = _AssignmentProblem(solver, table, users)
+        _, choice = exhaustive_association(problem)
+        assert len(choice) > 1
+        _, rbar = problem.evaluate(choice)
+        rows = [
+            local_rate_vector(problem.orders[j], table, problem.candidates[j][c])
+            for j, c in choice.items()
+        ]
+        np.testing.assert_array_equal(rbar, np.minimum.reduce(rows))
 
-    def test_sentinel_vector(self):
-        out = sentinel_rate_vector(np.array([0.4, 0.2]))
-        np.testing.assert_array_equal(out, [0.0, 0.4, 0.2])
+    def test_empty_rejected(self, corner_scene):
+        # No user can be served: there is no local vector to fold.
+        table = build_layer_set(corner_scene, 2)
+        solver = DirectSolver(corner_scene, table, 0)
+        far = [np.array([50.0, 50.0, corner_scene.plane.height])] * 2
+        with pytest.raises(InfeasibleError):
+            _AssignmentProblem(solver, table, far)
 
 
 class TestAssignedSumRate:

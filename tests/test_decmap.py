@@ -1,70 +1,106 @@
+import json
+
 import numpy as np
 import pytest
 
+from vlcmap.cpgd import greedy_order
 from vlcmap.decmap import (
-    IndexMatrix,
-    available_transforms,
+    MAP_VERSION,
     build_map,
-    label_permutation,
-    layer_permutation,
     load_map,
-    max_average_loss,
     normalized_distance,
     reduce_map,
     save_map,
     scene_fingerprint,
-    transformed_labels,
 )
+from vlcmap.errors import ConfigError, InvalidParameterError
 from vlcmap.rates import model_at_position
 from vlcmap.sceneio import grid_scene, reference_scene
 from vlcmap.signaling import build_layer_set
 
+from oracles import layer_permutation, max_average_loss, wedge_relabeled_orders
+
+TRANSFORMS = ("diagonal", "horizontal", "vertical")
+
 
 class TestIndexMatrix:
-    """Worked example on a 2x2 label matrix."""
+    """Worked example: the reflections of a one-color 2x2 array.
 
-    MATRIX = IndexMatrix(((2, 4), (1, 3)))
+    The index matrix holds position labels by (x index, y index), so it is
+    [[0, 1], [2, 3]], and one transmitter sits at each position.
+    """
 
-    def test_diagonal(self):
-        assert transformed_labels(self.MATRIX, "diagonal").labels == ((3, 4), (1, 2))
+    @pytest.fixture(scope="class")
+    def square(self):
+        scene = grid_scene(2, 2, spacing_x=0.6, spacing_y=0.6, colors_per_position=(0,))
+        return scene, build_layer_set(scene, 2)
 
-    def test_horizontal(self):
-        assert transformed_labels(self.MATRIX, "horizontal").labels == ((4, 2), (3, 1))
+    @staticmethod
+    def tx_permutation(scene, table, transform):
+        """Transmitter relabeling induced by ``layer_permutation``."""
+        perm = layer_permutation(scene, table, transform)
+        out = np.empty(scene.n_tx, dtype=int)
+        out[table.tx] = table.tx[perm]
+        return out
 
-    def test_vertical(self):
-        assert transformed_labels(self.MATRIX, "vertical").labels == ((1, 3), (2, 4))
+    def test_diagonal(self, square):
+        # Anti-transpose: swaps the (-x, -y) and (+x, +y) corners.
+        assert self.tx_permutation(*square, "diagonal").tolist() == [3, 1, 2, 0]
 
-    def test_label_permutation_matches_matrices(self):
-        for t in ("diagonal", "horizontal", "vertical"):
-            perm = label_permutation(self.MATRIX, t)
-            out = transformed_labels(self.MATRIX, t)
-            for (row_in, row_out) in zip(self.MATRIX.labels, out.labels):
-                for a, b in zip(row_in, row_out):
-                    assert perm[a] == b
+    def test_horizontal(self, square):
+        # Reverses the y order within each x column.
+        assert self.tx_permutation(*square, "horizontal").tolist() == [1, 0, 3, 2]
 
-    def test_reflections_are_involutions(self):
-        for t in ("diagonal", "horizontal", "vertical"):
-            twice = transformed_labels(transformed_labels(self.MATRIX, t), t)
-            assert twice.labels == self.MATRIX.labels
+    def test_vertical(self, square):
+        # Reverses the x order.
+        assert self.tx_permutation(*square, "vertical").tolist() == [2, 3, 0, 1]
+
+    def test_label_permutation_matches_matrices(self, square):
+        scene, table = square
+        idx = scene.layout.position_index
+        flipped = {
+            "diagonal": idx[::-1, ::-1].T,
+            "horizontal": idx[:, ::-1],
+            "vertical": idx[::-1, :],
+        }
+        reflect = {
+            "diagonal": lambda x, y: (-y, -x),
+            "horizontal": lambda x, y: (x, -y),
+            "vertical": lambda x, y: (-x, y),
+        }
+        for t in TRANSFORMS:
+            perm = self.tx_permutation(scene, table, t)
+            np.testing.assert_array_equal(perm[idx], flipped[t])
+            for tx in range(scene.n_tx):
+                x, y, _ = scene.tx_positions[tx]
+                np.testing.assert_allclose(
+                    scene.tx_positions[perm[tx], :2], reflect[t](x, y), atol=1e-15
+                )
+
+    def test_reflections_are_involutions(self, square):
+        scene, table = square
+        for t in TRANSFORMS:
+            perm = layer_permutation(scene, table, t)
+            np.testing.assert_array_equal(perm[perm], np.arange(table.n_layers))
 
 
 class TestAvailableTransforms:
-    def test_square_array_has_all_three(self, benchmark_scene):
-        assert set(available_transforms(benchmark_scene)) == {
-            "diagonal",
-            "horizontal",
-            "vertical",
-        }
+    def test_square_array_has_all_three(self, benchmark_scene, benchmark_table):
+        for t in TRANSFORMS:
+            perm = layer_permutation(benchmark_scene, benchmark_table, t)
+            assert sorted(perm.tolist()) == list(range(benchmark_table.n_layers))
 
     def test_rectangular_array_lacks_diagonal(self, pair_scene):
-        t = available_transforms(pair_scene)
-        assert "diagonal" not in t
-        assert set(t) <= {"horizontal", "vertical"}
+        table = build_layer_set(pair_scene, 2)
+        with pytest.raises(InvalidParameterError):
+            layer_permutation(pair_scene, table, "diagonal")
+        for t in ("horizontal", "vertical"):
+            layer_permutation(pair_scene, table, t)
 
 
 class TestLayerPermutation:
     def test_involution(self, benchmark_scene, benchmark_table):
-        for t in available_transforms(benchmark_scene):
+        for t in TRANSFORMS:
             perm = layer_permutation(benchmark_scene, benchmark_table, t)
             np.testing.assert_array_equal(
                 perm[perm], np.arange(benchmark_table.n_layers)
@@ -80,13 +116,14 @@ class TestLayerPermutation:
 
 class TestBuildMap:
     def test_symmetry_matches_direct_solve(self, pair_scene):
+        # Relabeling the wedge reproduces the directly solved cells exactly.
         table = build_layer_set(pair_scene, 2)
-        fast = build_map(pair_scene, table, 0, use_symmetry=True)
-        slow = build_map(pair_scene, table, 0, use_symmetry=False)
-        assert len(fast.cells) == len(slow.cells)
-        for a, b in zip(fast.cells, slow.cells):
-            assert a.order.groups == b.order.groups
-            np.testing.assert_array_equal(a.order.rates, b.order.rates)
+        dmap = build_map(pair_scene, table, 0)
+        relabeled = wedge_relabeled_orders(pair_scene, table, dmap)
+        assert len(relabeled) == len(dmap.cells)
+        for order, cell in zip(relabeled, dmap.cells):
+            assert order.groups == cell.order.groups
+            np.testing.assert_array_equal(order.rates, cell.order.rates)
 
     def test_mirrored_cells_offer_identical_rates(self, benchmark_map):
         # Reflection leaves the achievable rate multiset unchanged (the
@@ -108,28 +145,22 @@ class TestBuildMap:
                 )
 
     def test_cells_match_direct_recompute(
-        self, benchmark_scene, benchmark_table, benchmark_map, rng
+        self, benchmark_scene, benchmark_table, benchmark_map, pair_scene
     ):
-        from vlcmap.cpgd import greedy_order
-        from vlcmap.rates import model_at_position
-
-        dmap = benchmark_map
-        checked = 0
-        while checked < 30:
-            ix = int(rng.integers(0, dmap.xs.size))
-            iy = int(rng.integers(0, dmap.ys.size))
-            cell = dmap.cell(ix, iy)
-            if cell.order.outage:
-                continue
-            model = model_at_position(
-                benchmark_scene, benchmark_table, cell.position, 0
-            )
-            direct = greedy_order(model, tau=1)
-            assert direct.groups == cell.order.groups
-            np.testing.assert_allclose(
-                direct.rates, cell.order.rates, rtol=0, atol=1e-12, equal_nan=True
-            )
-            checked += 1
+        # Every cell is exactly the direct greedy solve at its position.
+        pair_table = build_layer_set(pair_scene, 2)
+        for scene, table, dmap in (
+            (benchmark_scene, benchmark_table, benchmark_map),
+            (pair_scene, pair_table, build_map(pair_scene, pair_table, 0)),
+        ):
+            for cell in dmap.cells:
+                direct = greedy_order(
+                    model_at_position(scene, table, cell.position, dmap.filter_index),
+                    tau=dmap.tau,
+                )
+                assert cell.order.outage == direct.outage
+                assert cell.order.groups == direct.groups
+                np.testing.assert_array_equal(cell.order.rates, direct.rates)
 
     def test_cell_lookup(self, benchmark_map):
         c = benchmark_map.cell_at(0.0, 0.0)
@@ -158,10 +189,47 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.ys, benchmark_map.ys)
         assert len(loaded.cells) == len(benchmark_map.cells)
         for a, b in zip(loaded.cells, benchmark_map.cells):
+            assert (a.ix, a.iy, a.position, a.cluster) == (b.ix, b.iy, b.position, b.cluster)
             assert a.order.groups == b.order.groups
             assert a.order.outage == b.order.outage
             if not a.order.outage:
                 np.testing.assert_array_equal(a.order.rates, b.order.rates)
+
+    @pytest.fixture()
+    def saved(self, benchmark_map, tmp_path):
+        path = tmp_path / "map.json"
+        save_map(benchmark_map, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == MAP_VERSION
+        return path, payload
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(version=MAP_VERSION - 1),
+            lambda p: p.pop("n_layers"),
+            lambda p: p["cells"][0].pop("cluster"),
+            lambda p: p.update(tau="1"),
+            lambda p: p.update(xs=None),
+            lambda p: p["cells"][0].update(position=[0.0, 0.0]),
+            lambda p: p.update(cells=p["cells"][:-1]),
+            lambda p: next(c for c in p["cells"] if not c["outage"])["groups"].append([0]),
+        ],
+        ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "null-xs", "short-position",
+             "missing-cell", "layer-id-0"],
+    )
+    def test_rejects_malformed_fields(self, saved, edit):
+        path, payload = saved
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            load_map(path)
+
+    def test_rejects_non_json(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            load_map(path)
 
 
 class TestFingerprint:
@@ -224,4 +292,4 @@ class TestReduceMap:
                 dmap.cells[i].order, dmap.cells[j].order, model
             )
 
-        assert max_average_loss(dmap, clusters, dist) <= 0.1 + 1e-12
+        assert max_average_loss(clusters, dist) <= 0.1 + 1e-12

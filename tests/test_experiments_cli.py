@@ -44,6 +44,7 @@ class TestRunMapExperiment:
         for name in ("map.json", "cells.csv", "layers.csv", "summary.json", "run.json"):
             assert (tmp_path / name).exists(), name
         assert summary["n_cells"] == summary["n_active"] + summary["n_outage"]
+        assert not {"n_computed", "n_derived", "build_seconds", "reduce_seconds"} & set(summary)
         assert summary["cluster_count"] >= 1
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk["n_active"] == summary["n_active"]
@@ -162,6 +163,23 @@ class TestCli:
             ["map", "inspect", "--map", str(out / "map.json"), "--at", "99", "99"],
         )
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "edit", [lambda p: p.update(version=1), lambda p: p.pop("n_layers")],
+        ids=["version-1", "no-n_layers"],
+    )
+    def test_inspect_bad_map_file_is_config_error(self, tmp_path, edit):
+        out = tmp_path / "m"
+        self.runner.invoke(main, ["map", "build", "--out", str(out), "--no-reduce"])
+        path = out / "map.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        res = self.runner.invoke(main, ["map", "inspect", "--map", str(path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "bad map file" in res.output or "version" in res.output
 
     def test_assoc_solve_with_users_csv(self, tmp_path):
         users = tmp_path / "users.csv"

@@ -10,7 +10,6 @@ from vlcmap.rates import (
     model_at,
     model_at_position,
     rate_margin,
-    stage_noise_variance,
     subsets_in_bitmask_order,
 )
 
@@ -85,15 +84,29 @@ class TestAchievableRate:
         assert with_it == pytest.approx(without, rel=1e-15)
 
 
+def single_layer_rate(model, k, stage_noise):
+    """Closed-form rate of layer k alone over AWGN of variance ``stage_noise``."""
+    cond = model.var[k] - model.power[k] * model.var[k] / (model.power[k] + stage_noise)
+    return (0.5 * (np.log(model.nu2[k]) - np.log(cond)) - model.phi[k]) / np.log(2.0)
+
+
 class TestStageNoise:
+    """A stage's noise is sigma^2 plus the power of the undecoded noise layers."""
+
     def test_empty_set_is_plain_awgn(self, rng):
         model = random_model(rng)
-        assert stage_noise_variance(model, []) == model.noise_var
+        expected = single_layer_rate(model, 0, model.noise_var)
+        assert achievable_rate(model, [0], [], clamp=False) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_adds_received_power(self, rng):
         model = random_model(rng)
-        expected = model.noise_var + float(np.sum(model.power[[1, 3]]))
-        assert stage_noise_variance(model, [1, 3]) == pytest.approx(expected)
+        stage_noise = model.noise_var + float(np.sum(model.power[[1, 3]]))
+        expected = single_layer_rate(model, 0, stage_noise)
+        assert achievable_rate(model, [0], [1, 3], clamp=False) == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 class TestSubsetOrder:
