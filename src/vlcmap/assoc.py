@@ -164,62 +164,85 @@ class Association:
 
 
 class _AssignmentProblem:
-    """Per-user candidate transmitters and precomputed discarded-rate rows."""
+    """Per-user candidate transmitters and their discarded-rate rows.
+
+    ``__init__`` precomputes, once per problem:
+
+    - ``candidates``: each user's candidate transmitters, ascending (empty
+      for a user in outage);
+    - ``rows``: the candidate local rate vectors of all users as one
+      ``(n_users, max_cands, L + 1)`` array, padded with ``+inf``; the extra
+      last column is ``+inf`` for every candidate;
+    - ``own``: per user and candidate, the candidate transmitter's layer ids,
+      padded with ``L``, the index of that extra ``+inf`` column;
+    - ``preference``: each user's candidate indices by descending own-layer
+      rate sum, ties toward the lower transmitter (a stable sort).
+
+    The GA calls ``repair`` once per genome and ``evaluate`` on the choice it
+    returns, so both work on these tables: ``evaluate`` is a few array
+    gathers, ``repair`` a walk over Python lists.
+    """
 
     def __init__(self, solver, table: LayerTable, user_positions):
         self.table = table
         self.orders = [solver.order_at(p) for p in user_positions]
+        n_layers = table.n_layers
+        own_layers = [np.flatnonzero(table.tx == tx) for tx in range(table.layers_per_tx.size)]
         self.candidates: list[list[int]] = []
-        self.local: list[np.ndarray] = []  # (n_cand, L) per user
-        self.cand_sum: list[np.ndarray] = []
+        local: list[list[np.ndarray]] = []
         for order in self.orders:
-            if order.outage:
-                self.candidates.append([])
-                self.local.append(np.empty((0, table.n_layers)))
-                self.cand_sum.append(np.empty(0))
-                continue
-            txs = sorted({int(table.tx[k]) for k in order.detectable})
-            rows = np.stack([local_rate_vector(order, table, tx) for tx in txs])
+            txs = [] if order.outage else sorted({int(table.tx[k]) for k in order.detectable})
             self.candidates.append(txs)
-            self.local.append(rows)
-            sums = np.empty(len(txs))
-            for c, tx in enumerate(txs):
-                own = np.flatnonzero(table.tx == tx)
-                sums[c] = rows[c][own][np.isfinite(rows[c][own])].sum()
-            self.cand_sum.append(sums)
+            local.append([local_rate_vector(order, table, tx) for tx in txs])
         self.active = [j for j, c in enumerate(self.candidates) if c]
         if not self.active:
             raise InfeasibleError("all users are in outage")
 
+        n_users = len(self.candidates)
+        max_cands = max(len(c) for c in self.candidates)
+        width = max(len(own) for own in own_layers)
+        self.rows = np.full((n_users, max_cands, n_layers + 1), np.inf)
+        self.own = np.full((n_users, max_cands, width), n_layers)
+        self.preference: list[list[int]] = []
+        for j, txs in enumerate(self.candidates):
+            sums = np.empty(len(txs))
+            for c, tx in enumerate(txs):
+                row, own = local[j][c], own_layers[tx]
+                self.rows[j, c, :n_layers] = row
+                self.own[j, c, : own.size] = own
+                sums[c] = row[own][np.isfinite(row[own])].sum()
+            self.preference.append(np.argsort(-sums, kind="stable").tolist())
+
     def evaluate(self, choice: dict[int, int]) -> tuple[float, np.ndarray]:
-        """Objective and global rate vector of a per-user candidate choice."""
-        rows = [self.local[j][c] for j, c in choice.items()]
-        rbar = np.min(np.stack(rows), axis=0)
+        """Objective and global rate vector of a per-user candidate choice.
+
+        Each user's own-layer sum adds its finite entries in layer order with
+        the others as zeros, which numpy sums sequentially for fewer than 8
+        layers per transmitter; the users' sums accumulate in choice order.
+        """
+        users, cands = list(choice), list(choice.values())
+        folded = np.minimum.reduce(self.rows[users, cands])
+        own = folded[self.own[users, cands]]
         total = 0.0
-        for j, c in choice.items():
-            tx = self.candidates[j][c]
-            own = np.flatnonzero(self.table.tx == tx)
-            vals = rbar[own]
-            total += float(vals[np.isfinite(vals)].sum())
-        return total, rbar
+        for s in np.where(np.isfinite(own), own, 0.0).sum(axis=1).tolist():
+            total += s
+        return total, folded[:-1]
 
     def repair(self, genome: np.ndarray) -> dict[int, int]:
         """Resolve transmitter conflicts deterministically (first keeps it)."""
+        genes = genome.tolist()
         used: set[int] = set()
         choice: dict[int, int] = {}
         for j in self.active:
             cands = self.candidates[j]
-            c = int(genome[j]) % len(cands)
+            c = genes[j] % len(cands)
             if cands[c] in used:
                 # Best own-rate unused candidate; ties toward lower tx index.
-                best = None
-                for alt in np.argsort(-self.cand_sum[j], kind="stable"):
-                    if cands[int(alt)] not in used:
-                        best = int(alt)
+                for c in self.preference[j]:
+                    if cands[c] not in used:
                         break
-                if best is None:
+                else:
                     continue
-                c = best
             used.add(cands[c])
             choice[j] = c
         return choice

@@ -138,10 +138,7 @@ def map_inspect(map_path, at) -> None:
     def go() -> None:
         dmap = load_map(map_path)
         if at:
-            try:
-                cell = dmap.cell_at(at[0], at[1])
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
+            cell = dmap.cell_at(at[0], at[1])
             info = {
                 "position": list(cell.position),
                 "outage": cell.order.outage,

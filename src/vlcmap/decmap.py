@@ -59,7 +59,7 @@ class DecodingMap:
         ix = int(round((x - self.xs[0]) / (self.xs[1] - self.xs[0])))
         iy = int(round((y - self.ys[0]) / (self.ys[1] - self.ys[0])))
         if not (0 <= ix < self.xs.size and 0 <= iy < self.ys.size):
-            raise KeyError(f"position ({x}, {y}) outside the mapped plane")
+            raise ConfigError(f"position ({x}, {y}) outside the mapped plane")
         return self.cell(ix, iy)
 
     @property

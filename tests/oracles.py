@@ -3,6 +3,8 @@
 Everything here is deliberately written the slow, obvious way (per-link
 gains, quadrature, explicit covariance algebra, brute-force enumeration)
 so that agreement with the fast closed forms in the package is meaningful.
+The GA's per-genome fitness and conflict repair are kept here as the loops
+the array-based ``_AssignmentProblem`` methods must equal bit for bit.
 The reflection relabeling of the transmitter array is the symmetry
 reference: greedy orders at mirrored positions must be its relabelings,
 and a map rebuilt from its 1/8 wedge must equal the directly solved map.
@@ -16,6 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from vlcmap.assoc import local_rate_vector
 from vlcmap.channel import Scene, gain_vector
 from vlcmap.cpgd import DecodingOrder, outage_order
 from vlcmap.errors import GeometryError, InvalidParameterError
@@ -320,6 +323,61 @@ def exhaustive_assignments(candidates: dict[int, list[int]]):
             used.remove(tx)
 
     yield from rec(0, set(), {})
+
+
+# ---------------------------------------------------------------------------
+# GA association: per-genome fitness and conflict repair
+
+
+def _candidate_row(problem, j: int, c: int) -> np.ndarray:
+    return local_rate_vector(problem.orders[j], problem.table, problem.candidates[j][c])
+
+
+def assignment_evaluate(problem, choice: dict[int, int]) -> tuple[float, np.ndarray]:
+    """Loop reference for ``_AssignmentProblem.evaluate``.
+
+    Folds the chosen users' local rows, rebuilt from their decoding orders,
+    and sums each user's finite own-layer rates one user at a time.
+    """
+    table = problem.table
+    rbar = np.min(np.stack([_candidate_row(problem, j, c) for j, c in choice.items()]), axis=0)
+    total = 0.0
+    for j, c in choice.items():
+        own = np.flatnonzero(table.tx == problem.candidates[j][c])
+        vals = rbar[own]
+        total += float(vals[np.isfinite(vals)].sum())
+    return total, rbar
+
+
+def assignment_repair(problem, genome: np.ndarray) -> dict[int, int]:
+    """Loop reference for ``_AssignmentProblem.repair``.
+
+    The first user naming a transmitter keeps it; a later one falls back on
+    its unused candidate with the largest own-layer rate sum, ties toward the
+    lower transmitter, and stays unserved when every candidate is taken.
+    """
+    used: set[int] = set()
+    choice: dict[int, int] = {}
+    for j in problem.active:
+        cands = problem.candidates[j]
+        c = int(genome[j]) % len(cands)
+        if cands[c] in used:
+            sums = np.empty(len(cands))
+            for alt, tx in enumerate(cands):
+                row = _candidate_row(problem, j, alt)
+                own = row[np.flatnonzero(problem.table.tx == tx)]
+                sums[alt] = own[np.isfinite(own)].sum()
+            best = None
+            for alt in np.argsort(-sums, kind="stable"):
+                if cands[int(alt)] not in used:
+                    best = int(alt)
+                    break
+            if best is None:
+                continue
+            c = best
+        used.add(cands[c])
+        choice[j] = c
+    return choice
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from vlcmap.errors import InfeasibleError
 from vlcmap.experiments import user_grid
 from vlcmap.signaling import build_layer_set
 
+from oracles import assignment_evaluate, assignment_repair
+
 
 def toy_order(table, groups, rate=0.1):
     rates = np.full(table.n_layers, np.nan)
@@ -163,6 +165,65 @@ class TestSolveAssociation:
         far = [np.array([50.0, 50.0, corner_scene.plane.height])]
         with pytest.raises(InfeasibleError):
             solve_association(solver, far, table)
+
+
+@pytest.fixture(scope="module")
+def window_problem(benchmark_scene, benchmark_table, benchmark_map):
+    """The 16-user grid at the sweep-window anchor (0.1, 0), orders from the map."""
+    users = user_grid((0.1, 0.0, benchmark_scene.plane.height))
+    return benchmark_scene, benchmark_table, MapLookupSolver(benchmark_map), users
+
+
+class TestProblemMatchesOracles:
+    """The array-based ``evaluate`` and ``repair`` equal their loop references."""
+
+    @pytest.fixture(params=["corner_problem", "window_problem"])
+    def case(self, request):
+        _, table, solver, users = request.getfixturevalue(request.param)
+        return table, solver, users, _AssignmentProblem(solver, table, users)
+
+    def test_evaluate(self, case, rng):
+        *_, problem = case
+        active = np.array(problem.active)
+        for trial in range(60):
+            # Every third choice serves all active users; the rest skip some.
+            keep = active if trial % 3 == 0 else active[rng.random(active.size) < 0.6]
+            choice = {
+                int(j): int(rng.integers(len(problem.candidates[j]))) for j in keep
+            }
+            if not choice:
+                continue
+            got_obj, got_rbar = problem.evaluate(choice)
+            want_obj, want_rbar = assignment_evaluate(problem, choice)
+            assert got_obj == want_obj
+            np.testing.assert_array_equal(got_rbar, want_rbar)
+
+    def test_repair(self, case, rng):
+        *_, problem = case
+        sizes = np.array([max(len(c), 1) for c in problem.candidates])
+        fallbacks = 0
+        for trial in range(60):
+            # Half the genomes draw from only two genes, so most users name one
+            # of a few transmitters and the fallback order decides.
+            high = sizes if trial % 2 == 0 else np.minimum(sizes, 2)
+            genome = rng.integers(0, high)
+            got = problem.repair(genome)
+            assert got == assignment_repair(problem, genome)
+            fallbacks += sum(
+                c != int(genome[j]) % len(problem.candidates[j]) for j, c in got.items()
+            )
+        assert fallbacks > 0
+
+    def test_solve_association(self, case, monkeypatch):
+        table, solver, users, _ = case
+        cfg = GAConfig(population=16, generations=5, seed=4)
+        fast = solve_association(solver, users, table, cfg)
+        monkeypatch.setattr(_AssignmentProblem, "evaluate", assignment_evaluate)
+        monkeypatch.setattr(_AssignmentProblem, "repair", assignment_repair)
+        slow = solve_association(solver, users, table, cfg)
+        np.testing.assert_array_equal(fast.assignment, slow.assignment)
+        assert fast.objective == slow.objective
+        assert fast.rbar.tobytes() == slow.rbar.tobytes()
 
 
 class TestIterativeRateUpdate:

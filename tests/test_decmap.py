@@ -166,7 +166,7 @@ class TestBuildMap:
         c = benchmark_map.cell_at(0.0, 0.0)
         assert c.position[0] == pytest.approx(0.0)
         assert c.position[1] == pytest.approx(0.0)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             benchmark_map.cell_at(1e3, 0.0)
 
     def test_edge_cells_are_outage(self, benchmark_map):

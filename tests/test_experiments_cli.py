@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from vlcmap.assoc import GAConfig
 from vlcmap.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
+from vlcmap.decmap import save_map
 from vlcmap.experiments import (
     AssocExperimentConfig,
     MapExperimentConfig,
@@ -180,6 +181,28 @@ class TestCli:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert "bad map file" in res.output or "version" in res.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["assoc", "solve", "--anchor", "1.5", "1.5"],
+            ["sweep", "run", "--a-range", "1.2", "1.2", "--b-range", "0", "0"],
+        ],
+        ids=["assoc-solve", "sweep-run"],
+    )
+    def test_users_off_the_map_are_config_errors(
+        self, benchmark_map, tmp_path, args
+    ):
+        # The user grid reaches past the map's plane: no order to look up.
+        map_path = tmp_path / "map.json"
+        save_map(benchmark_map, map_path)
+        res = self.runner.invoke(
+            main, args + ["--map", str(map_path), "--out", str(tmp_path / "out")]
+        )
+        assert res.exit_code == EXIT_CONFIG
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "outside the mapped plane" in res.output
 
     def test_assoc_solve_with_users_csv(self, tmp_path):
         users = tmp_path / "users.csv"
