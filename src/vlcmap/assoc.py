@@ -10,16 +10,21 @@ a second phase redistributes margins with the iterative update pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cpgd import TIE_RTOL, DecodingOrder, _tie_argmin, greedy_order
-from .decmap import DecodingMap
-from .errors import InfeasibleError, InvalidParameterError
-from .rates import LN2, RateModel, model_at_position, rate_margin, subsets_in_bitmask_order
+from .decmap import SAMPLE_TOL, DecodingMap
+from .errors import ConfigError, InfeasibleError, InvalidParameterError
+from .rates import (
+    RateModel,
+    _stage_rates,
+    model_at_position,
+    rate_margin,
+    subsets_in_bitmask_order,
+)
 from .signaling import LayerTable
 
 
@@ -28,13 +33,24 @@ from .signaling import LayerTable
 
 
 class MapLookupSolver:
-    """Order lookup on a prebuilt decoding map (positions on the map plane)."""
+    """Order lookup on a prebuilt decoding map (positions at its samples)."""
 
     def __init__(self, dmap: DecodingMap):
         self.dmap = dmap
 
     def order_at(self, position) -> DecodingOrder:
-        return self.dmap.cell_at(position[0], position[1]).order
+        """The order of the map cell at ``position``, which must be its sample.
+
+        A position more than ``SAMPLE_TOL`` from the nearest cell's position
+        in x, y or z raises :class:`ConfigError` rather than being snapped.
+        """
+        cell = self.dmap.cell_at(position[0], position[1])
+        if any(abs(p - q) > SAMPLE_TOL for p, q in zip(position, cell.position)):
+            raise ConfigError(
+                f"position {tuple(float(p) for p in position)} is not a sample of the "
+                f"map; the nearest sample is {cell.position}"
+            )
+        return cell.order
 
 
 class DirectSolver:
@@ -47,15 +63,11 @@ class DirectSolver:
         self.tau = tau
         self._cache: dict[tuple[float, ...], DecodingOrder] = {}
 
-    def model_at(self, position) -> RateModel:
-        return model_at_position(self.scene, self.table, position, self.filter_index)
-
     def order_at(self, position) -> DecodingOrder:
         key = tuple(float(p) for p in position)
         if key not in self._cache:
-            self._cache[key] = greedy_order(
-                self.model_at(position), tau=self.tau, position=key
-            )
+            model = model_at_position(self.scene, self.table, position, self.filter_index)
+            self._cache[key] = greedy_order(model, tau=self.tau, position=key)
         return self._cache[key]
 
 
@@ -159,7 +171,6 @@ class Association:
     assignment: np.ndarray          # (N_r,) transmitter per user, -1 = unserved
     rbar: np.ndarray                # (L,) global rates, +inf where unbound
     objective: float
-    orders: list[DecodingOrder]     # per-user decoding orders used
     depths: np.ndarray              # (N_r,) truncation stage per user, -1 unserved
 
 
@@ -366,7 +377,6 @@ def solve_association(
         assignment=assignment,
         rbar=rbar,
         objective=val,
-        orders=problem.orders,
         depths=depths,
     )
 
@@ -424,11 +434,8 @@ def _margin_greedy_user(
     while remaining:
         if tau == 1:
             arr = np.asarray(remaining, dtype=int)
-            denom = pw[arr] + base
-            rates = (
-                0.5 * (log_nu2[arr] - np.log(model.var[arr] - pw[arr] * model.var[arr] / denom))
-                - model.phi[arr]
-            ) / LN2
+            p = pw[arr]
+            rates = _stage_rates(log_nu2[arr], model.var[arr], model.phi[arr], p, p + base)
             np.maximum(rates, 0.0, out=rates)
             margins = rates - rhat[arr]
             j = int(np.argmin(margins))

@@ -113,22 +113,6 @@ class ReceiverPlane:
 
 
 @dataclass
-class GridLayout:
-    """Regular transmitter-position grid: the array's index matrix.
-
-    ``position_index[i, j]`` is the 0-based position label at the i-th x
-    coordinate (ascending) and j-th y coordinate (ascending).
-    """
-
-    n_x: int
-    n_y: int
-    spacing_x: float
-    spacing_y: float
-    position_index: np.ndarray
-    tx_position: np.ndarray | None = None  # (N_t,) position label per transmitter
-
-
-@dataclass
 class Scene:
     """The physical world: transmitter array, optics, receiver plane, noise."""
 
@@ -144,7 +128,6 @@ class Scene:
     peak_power: np.ndarray            # (N_t,)
     avg_power: np.ndarray             # (N_t,)
     plane: ReceiverPlane
-    layout: GridLayout | None = None
     filter_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:

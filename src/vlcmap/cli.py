@@ -43,6 +43,16 @@ def _load_spec(scene_path: str | None, layers: int | None) -> SceneSpec:
     return spec
 
 
+def _load_scene_map(map_path: str | None, scene):
+    """The map file at ``map_path``, checked to be built from ``scene``."""
+    if map_path is None:
+        return None
+    dmap = load_map(map_path)
+    if dmap.scene_hash != scene_fingerprint(scene):
+        raise ConfigError("map was built from a different scene")
+    return dmap
+
+
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -113,9 +123,7 @@ def map_reduce(map_path, scene_path, layers, tau_diff, tau_loss, out_path) -> No
 
     def go() -> None:
         spec = _load_spec(scene_path, layers)
-        dmap = load_map(map_path)
-        if dmap.scene_hash != scene_fingerprint(spec.scene):
-            raise ConfigError("map was built from a different scene")
+        dmap = _load_scene_map(map_path, spec.scene)
         table = build_layer_set(spec.scene, spec.layers_per_tx)
         clusters = reduce_map(dmap, spec.scene, table, tau_diff, tau_loss)
         save_map(dmap, out_path or map_path)
@@ -217,9 +225,7 @@ def assoc_solve(scene_path, users_path, anchor, map_path, outdir, filter_index,
             positions = user_grid((anchor[0], anchor[1], spec.scene.plane.height))
         else:
             raise ConfigError("need --users or --anchor")
-        dmap = load_map(map_path) if map_path else None
-        if dmap is not None and dmap.scene_hash != scene_fingerprint(spec.scene):
-            raise ConfigError("map was built from a different scene")
+        dmap = _load_scene_map(map_path, spec.scene)
         cfg = AssocExperimentConfig(
             filter_index=filter_index,
             tau=tau,
@@ -231,7 +237,7 @@ def assoc_solve(scene_path, users_path, anchor, map_path, outdir, filter_index,
             spec.scene, positions, cfg, outdir=outdir, dmap=dmap
         )
         click.echo(json.dumps(result, indent=2, sort_keys=True))
-        if refine and not result.get("converged", True):
+        if not result.get("converged", True):
             sys.exit(EXIT_NO_CONVERGENCE)
 
     _run(go)
@@ -262,7 +268,11 @@ def sweep_group() -> None:
 @click.option("--generations", type=int, default=200, show_default=True)
 def sweep_run(scene_path, outdir, plane, a_range, b_range, step, fixed, map_path,
               filter_index, tau, layers, seed, population, generations) -> None:
-    """Sweep the user-grid anchor and record the achieved rates per anchor."""
+    """Sweep the user-grid anchor and record the achieved rates per anchor.
+
+    Writes every artifact, then exits 4 if refinement did not converge at
+    some anchor.
+    """
 
     def go() -> None:
         spec = _load_spec(scene_path, layers)
@@ -270,9 +280,7 @@ def sweep_run(scene_path, outdir, plane, a_range, b_range, step, fixed, map_path
             fixed_val = spec.scene.plane.height if plane == "xy" else 0.0
         else:
             fixed_val = fixed
-        dmap = load_map(map_path) if map_path else None
-        if dmap is not None and dmap.scene_hash != scene_fingerprint(spec.scene):
-            raise ConfigError("map was built from a different scene")
+        dmap = _load_scene_map(map_path, spec.scene)
         cfg = SweepConfig(
             plane=plane,
             a_range=tuple(a_range),
@@ -294,6 +302,8 @@ def sweep_run(scene_path, outdir, plane, a_range, b_range, step, fixed, map_path
             "worst_sum_rate": min(sums) if sums else 0.0,
             "out": str(Path(outdir) / "sweep.csv"),
         }, indent=2, sort_keys=True))
+        if any(r["converged"] is False for r in rows):
+            sys.exit(EXIT_NO_CONVERGENCE)
 
     _run(go)
 

@@ -8,14 +8,14 @@ everything else has been cancelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .rates import (
-    LN2,
     RateModel,
+    _stage_rates,
     achievable_rate,
     rate_margin,
     subsets_in_bitmask_order,
@@ -71,7 +71,6 @@ def greedy_order(
     model: RateModel,
     tau: int = DEFAULT_GROUP_SIZE,
     position=None,
-    clamp: bool = True,
 ) -> DecodingOrder:
     """Max-min greedy decoding order over the detectable layers.
 
@@ -86,7 +85,7 @@ def greedy_order(
     if not universe:
         return outage_order(model.n_layers, position)
     if tau == 1:
-        return _greedy_singletons(model, universe, position, clamp)
+        return _greedy_singletons(model, universe, position)
     remaining = list(universe)
     extracted: list[int] = []
     rates = np.full(model.n_layers, np.nan)
@@ -111,7 +110,7 @@ def greedy_order(
             )
             best_val = vals[subs.index(best_set)]
         taken.append(best_set)
-        stored = max(best_val, 0.0) if clamp else best_val
+        stored = max(best_val, 0.0)
         for k in best_set:
             rates[k] = stored
             remaining.remove(k)
@@ -125,7 +124,7 @@ def greedy_order(
 
 
 def _greedy_singletons(
-    model: RateModel, universe: tuple[int, ...], position, clamp: bool
+    model: RateModel, universe: tuple[int, ...], position
 ) -> DecodingOrder:
     """Vectorized greedy pass for group size one."""
     idx = np.asarray(universe, dtype=int)
@@ -140,7 +139,7 @@ def _greedy_singletons(
     for _ in range(idx.size):
         denom = pw + base
         # Unclamped selection: see greedy_order on clamp-induced ties.
-        vals = (0.5 * (log_nu2 - np.log(var - pw * var / denom)) - phi) / LN2
+        vals = _stage_rates(log_nu2, var, phi, pw, denom)
         vals[~alive] = np.inf
         j = int(np.argmin(vals))  # first minimum = lowest layer id
         if model.tiebreak is not None:
@@ -150,7 +149,7 @@ def _greedy_singletons(
                 j = int(tied[_tie_argmin(model.tiebreak, idx[tied])])
         k = int(idx[j])
         taken.append((k,))
-        rates[k] = max(float(vals[j]), 0.0) if clamp else float(vals[j])
+        rates[k] = max(float(vals[j]), 0.0)
         alive[j] = False
         base += float(pw[j])
     return DecodingOrder(
@@ -164,7 +163,6 @@ def _greedy_singletons(
 def rates_under_fixed_order(
     model: RateModel,
     groups: list[tuple[int, ...]],
-    clamp: bool = True,
 ) -> np.ndarray:
     """Per-layer rates when the decoding order is imposed.
 
@@ -180,7 +178,7 @@ def rates_under_fixed_order(
     zero = np.zeros(model.n_layers)
     for m, grp in enumerate(groups):
         later = [k for g in groups[m + 1 :] for k in g]
-        delta = rate_margin(model, grp, later, zero, clamp=clamp)
+        delta = rate_margin(model, grp, later, zero)
         for k in grp:
             rates[k] = delta
     return rates

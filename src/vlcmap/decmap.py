@@ -19,7 +19,7 @@ import numpy as np
 from .channel import Scene, gain_vector
 from .cpgd import DecodingOrder, greedy_order, outage_order, rates_under_fixed_order
 from .errors import ConfigError, IncompatiblePositionsError
-from .rates import LN2, RateModel, geometric_tiebreak, model_at
+from .rates import RateModel, _stage_rates, geometric_tiebreak, model_at
 from .signaling import LayerTable
 
 # ---------------------------------------------------------------------------
@@ -33,6 +33,21 @@ class MapCell:
     position: tuple[float, float, float]
     order: DecodingOrder
     cluster: int = -1
+
+
+# Largest distance, in meters, at which a position counts as a map sample.
+SAMPLE_TOL = 1e-9
+
+
+def _nearest_sample(axis: np.ndarray, v: float) -> int:
+    """Index of the sample of an evenly spaced axis nearest ``v``.
+
+    Out of range when ``v`` lies beyond the axis; an axis of one sample
+    extends ``SAMPLE_TOL`` either side of it.
+    """
+    if axis.size == 1:
+        return 0 if abs(v - axis[0]) <= SAMPLE_TOL else -1
+    return int(round((v - axis[0]) / (axis[1] - axis[0])))
 
 
 @dataclass
@@ -56,8 +71,8 @@ class DecodingMap:
         return self.cells[ix * self.ys.size + iy]
 
     def cell_at(self, x: float, y: float) -> MapCell:
-        ix = int(round((x - self.xs[0]) / (self.xs[1] - self.xs[0])))
-        iy = int(round((y - self.ys[0]) / (self.ys[1] - self.ys[0])))
+        """The cell whose sample is nearest (x, y) on the mapped plane."""
+        ix, iy = _nearest_sample(self.xs, x), _nearest_sample(self.ys, y)
         if not (0 <= ix < self.xs.size and 0 <= iy < self.ys.size):
             raise ConfigError(f"position ({x}, {y}) outside the mapped plane")
         return self.cell(ix, iy)
@@ -186,12 +201,8 @@ def _distance_matrix_tau1(
         suffix = np.concatenate(
             [np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((n, 1))], axis=1
         )
-        denom = p + suffix + noise_var
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (
-                0.5 * (log_nu2[seq] - np.log(var[seq] - p * var[seq] / denom))
-                - phi[seq]
-            ) / LN2
+            vals = _stage_rates(log_nu2[seq], var[seq], phi[seq], p, p + suffix + noise_var)
         np.maximum(vals, 0.0, out=vals)
         vals[p == 0.0] = 0.0
         mimic = np.zeros((n, L))

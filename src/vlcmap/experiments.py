@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .assoc import (
-    Association,
     DirectSolver,
     GAConfig,
     MapLookupSolver,
@@ -125,6 +124,47 @@ def user_grid(anchor, n_x: int = 4, n_y: int = 4, spacing: float = 0.2, plane: s
     return out
 
 
+def _solver(scene: Scene, table: LayerTable, cfg: AssocExperimentConfig, dmap):
+    """Map lookup when a map is given, direct greedy solves otherwise."""
+    if dmap is not None:
+        return MapLookupSolver(dmap)
+    return DirectSolver(scene, table, cfg.filter_index, cfg.tau)
+
+
+def associate(
+    scene: Scene, table: LayerTable, solver, positions, cfg: AssocExperimentConfig
+) -> dict:
+    """One user placement: association, refinement, per-user rates.
+
+    The record holds the assignment and truncation depths, the sum rate
+    before (``sum_rate_assoc``) and after refinement, each user's rate (NaN
+    unserved) and the least of them; ``rounds`` and ``converged`` only when
+    ``cfg.refine`` is set.  Raises :class:`InfeasibleError` when every user
+    is in outage.
+    """
+    assoc = solve_association(solver, positions, table, cfg.ga)
+    record = {
+        "n_users": len(positions),
+        "n_served": int(np.sum(assoc.assignment >= 0)),
+        "assignment": [int(t) for t in assoc.assignment],
+        "depths": [int(d) for d in assoc.depths],
+        "sum_rate_assoc": assoc.objective,
+        "sum_rate": assoc.objective,
+    }
+    rates = assoc.rbar
+    if cfg.refine:
+        models = [model_at_position(scene, table, p, cfg.filter_index) for p in positions]
+        upd = iterative_rate_update(
+            assoc, models, table, tau=cfg.tau, eps=cfg.eps, max_rounds=cfg.max_rounds
+        )
+        rates = upd.rates
+        record.update(sum_rate=upd.sum_rate, rounds=upd.rounds, converged=upd.converged)
+    record["user_rates"] = per_user_rates(assoc.assignment, rates, table)
+    served = [r for r in record["user_rates"] if not math.isnan(r)]
+    record["min_user_rate"] = min(served) if served else float("nan")
+    return record
+
+
 def run_assoc_experiment(
     scene: Scene,
     user_positions,
@@ -135,48 +175,15 @@ def run_assoc_experiment(
 ) -> dict:
     """Associate users with transmitters at fixed positions, then refine.
 
-    Uses map lookup when a map is given (positions must lie on its grid at
-    the plane height), direct greedy solves otherwise.
+    Uses map lookup when a map is given (positions must be samples of it),
+    direct greedy solves otherwise.  Returns the :func:`associate` record.
     """
     table = table if table is not None else build_layer_set(scene, cfg.layers_per_tx)
-    solver = (
-        MapLookupSolver(dmap)
-        if dmap is not None
-        else DirectSolver(scene, table, cfg.filter_index, cfg.tau)
-    )
-    assoc = solve_association(solver, user_positions, table, cfg.ga)
-    result = {
-        "n_users": len(user_positions),
-        "n_served": int(np.sum(assoc.assignment >= 0)),
-        "assignment": [int(t) for t in assoc.assignment],
-        "depths": [int(d) for d in assoc.depths],
-        "sum_rate_assoc": assoc.objective,
-    }
-    refined_rates = assoc.rbar
-    if cfg.refine:
-        models = [
-            model_at_position(scene, table, p, cfg.filter_index)
-            for p in user_positions
-        ]
-        upd = iterative_rate_update(
-            assoc, models, table, tau=cfg.tau, eps=cfg.eps, max_rounds=cfg.max_rounds
-        )
-        refined_rates = upd.rates
-        result.update(
-            sum_rate=upd.sum_rate, rounds=upd.rounds, converged=upd.converged
-        )
-    else:
-        result["sum_rate"] = assoc.objective
-    result["user_rates"] = per_user_rates(assoc.assignment, refined_rates, table)
-    result["min_user_rate"] = (
-        min(r for r in result["user_rates"] if not math.isnan(r))
-        if result["n_served"]
-        else float("nan")
-    )
+    result = associate(scene, table, _solver(scene, table, cfg, dmap), user_positions, cfg)
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_assoc_csv(outdir / "association.csv", user_positions, assoc, result)
+        _write_assoc_csv(outdir / "association.csv", user_positions, result)
         with open(outdir / "summary.json", "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
         _write_manifest(
@@ -207,14 +214,14 @@ def per_user_rates(assignment, rates: np.ndarray, table: LayerTable) -> list[flo
     return out
 
 
-def _write_assoc_csv(path, user_positions, assoc: Association, result: dict) -> None:
+def _write_assoc_csv(path, user_positions, record: dict) -> None:
     rows = ["user,x,y,z,tx,depth,rate"]
-    for j, pos in enumerate(user_positions):
-        tx = int(assoc.assignment[j])
-        rate = result["user_rates"][j]
+    for j, (pos, tx, depth, rate) in enumerate(
+        zip(user_positions, record["assignment"], record["depths"], record["user_rates"])
+    ):
         rows.append(
             f"{j},{pos[0]!r},{pos[1]!r},{pos[2]!r},"
-            f"{tx if tx >= 0 else ''},{assoc.depths[j] if tx >= 0 else ''},"
+            f"{tx if tx >= 0 else ''},{depth if tx >= 0 else ''},"
             f"{'' if math.isnan(rate) else repr(rate)}"
         )
     with open(path, "w") as fh:
@@ -237,6 +244,13 @@ class SweepConfig:
     assoc: AssocExperimentConfig = field(default_factory=AssocExperimentConfig)
 
 
+SWEEP_COLUMNS = (
+    "a", "b", "n_served", "sum_rate_assoc", "sum_rate", "min_user_rate", "rounds", "converged"
+)
+# The record of an anchor whose users are all in outage.
+_OUTAGE = {"n_served": 0, "sum_rate_assoc": 0.0, "sum_rate": 0.0, "min_user_rate": float("nan")}
+
+
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     n = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(n)
@@ -250,71 +264,42 @@ def run_sweep_experiment(
 ) -> list[dict]:
     """Sweep the user-grid anchor over a plane and record rates per anchor.
 
-    On the receiver plane a prebuilt map can serve the decoding orders; on
-    vertical planes orders are solved directly (and cached across anchors).
+    Each anchor's placement goes through :func:`associate`, with orders from
+    the map when one is given (every position must be one of its samples)
+    and direct greedy solves otherwise.  An anchor whose users are all in
+    outage gets a row with nobody served and no ``converged`` flag.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     acfg = cfg.assoc
     table = build_layer_set(scene, acfg.layers_per_tx)
-    if cfg.plane == "xy":
-        solver = (
-            MapLookupSolver(dmap)
-            if dmap is not None
-            else DirectSolver(scene, table, acfg.filter_index, acfg.tau)
-        )
-    elif cfg.plane == "yz":
-        solver = DirectSolver(scene, table, acfg.filter_index, acfg.tau)
-    else:
-        raise InvalidParameterError(f"unknown sweep plane {cfg.plane!r}")
-
-    rows: list[dict] = []
+    solver = _solver(scene, table, acfg, dmap)
+    placements = []
     for a in _axis(*cfg.a_range, cfg.step):
         for b in _axis(*cfg.b_range, cfg.step):
             anchor = (a, b, cfg.fixed) if cfg.plane == "xy" else (cfg.fixed, a, b)
-            positions = user_grid(
-                anchor, cfg.grid_n, cfg.grid_n, cfg.grid_spacing, cfg.plane
-            )
-            row = {"a": float(a), "b": float(b)}
-            try:
-                assoc = solve_association(solver, positions, table, acfg.ga)
-            except InfeasibleError:
-                row.update(
-                    n_served=0,
-                    sum_rate_assoc=0.0,
-                    sum_rate=0.0,
-                    min_user_rate=float("nan"),
-                    rounds=0,
-                )
-                rows.append(row)
-                continue
-            row["n_served"] = int(np.sum(assoc.assignment >= 0))
-            row["sum_rate_assoc"] = assoc.objective
-            if acfg.refine:
-                models = [
-                    model_at_position(scene, table, p, acfg.filter_index)
-                    for p in positions
-                ]
-                upd = iterative_rate_update(
-                    assoc, models, table, acfg.tau, acfg.eps, acfg.max_rounds
-                )
-                urates = per_user_rates(assoc.assignment, upd.rates, table)
-                row["sum_rate"] = upd.sum_rate
-                row["rounds"] = upd.rounds
-            else:
-                urates = per_user_rates(assoc.assignment, assoc.rbar, table)
-                row["sum_rate"] = assoc.objective
-                row["rounds"] = 0
-            served = [r for r in urates if not math.isnan(r)]
-            row["min_user_rate"] = min(served) if served else float("nan")
-            rows.append(row)
+            grid = user_grid(anchor, cfg.grid_n, cfg.grid_n, cfg.grid_spacing, cfg.plane)
+            placements.append((float(a), float(b), grid))
+    # Look every position up first, so that a map missing one anchor's users
+    # fails the sweep before any anchor is solved.
+    for _, _, positions in placements:
+        for p in positions:
+            solver.order_at(p)
 
-    csv_rows = ["a,b,n_served,sum_rate_assoc,sum_rate,min_user_rate,rounds"]
+    rows: list[dict] = []
+    for a, b, positions in placements:
+        try:
+            record = associate(scene, table, solver, positions, acfg)
+        except InfeasibleError:
+            record = _OUTAGE
+        row = {"a": a, "b": b, "rounds": 0, "converged": None}
+        row.update((k, v) for k, v in record.items() if k in SWEEP_COLUMNS)
+        rows.append(row)
+
+    csv_rows = [",".join(SWEEP_COLUMNS)]
     for r in rows:
-        csv_rows.append(
-            f"{r['a']!r},{r['b']!r},{r['n_served']},{r['sum_rate_assoc']!r},"
-            f"{r['sum_rate']!r},{r['min_user_rate']!r},{r['rounds']}"
-        )
+        converged = "" if r["converged"] is None else int(r["converged"])
+        csv_rows.append(",".join(repr(r[k]) for k in SWEEP_COLUMNS[:-1]) + f",{converged}")
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("\n".join(csv_rows) + "\n")
     _write_manifest(

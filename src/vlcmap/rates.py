@@ -10,7 +10,7 @@ detectable universe, which fixes every argmin tie deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -45,10 +45,6 @@ class RateModel:
     def power(self) -> np.ndarray:
         """Received variance h^2 * var per layer."""
         return self.gains**2 * self.var
-
-    def gaussian_surrogate(self) -> "RateModel":
-        """Same second-order statistics with exact-Gaussian inputs."""
-        return replace(self, nu2=self.var.copy(), phi=np.zeros_like(self.phi))
 
 
 def model_at(
@@ -126,6 +122,16 @@ def achievable_rate(
     return rate
 
 
+def _stage_rates(log_nu2, var, phi, power, denom):
+    """Per-layer rate of decoding each layer alone against ``denom``.
+
+    ``denom`` is the AWGN variance plus the received power of the layer and
+    of everything still undecoded; this is the group-size-one stage of
+    :func:`achievable_rate`, unclamped, elementwise over arrays.
+    """
+    return (0.5 * (log_nu2 - np.log(var - power * var / denom)) - phi) / LN2
+
+
 def subsets_in_bitmask_order(
     members: Sequence[int], max_size: int
 ) -> list[tuple[int, ...]]:
@@ -147,7 +153,6 @@ def rate_margin(
     signal: Sequence[int],
     noise: Sequence[int],
     rates: np.ndarray,
-    clamp: bool = True,
 ) -> float:
     """Largest uniform per-layer rate increase the signal set can absorb.
 
@@ -163,7 +168,7 @@ def rate_margin(
         allocated = float(np.sum(rates[list(sub)]))
         if math.isinf(allocated):
             return -math.inf
-        val = (achievable_rate(model, sub, noise, clamp=clamp) - allocated) / len(sub)
+        val = (achievable_rate(model, sub, noise) - allocated) / len(sub)
         if val < best:
             best = val
     return best

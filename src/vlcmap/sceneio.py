@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .channel import (
-    ColorBand,
-    GridLayout,
-    ReceiverPlane,
-    Scene,
-    gain_vector,
-)
+from .channel import ColorBand, ReceiverPlane, Scene, gain_vector
 from .errors import ConfigError, InvalidParameterError
 
 # The four LED bands used throughout the experiments, ascending wavelength.
@@ -60,15 +54,12 @@ def grid_scene(
     filters = filters if filters is not None else list(DEFAULT_FILTERS)
     off_x = (np.arange(n_x) - (n_x - 1) / 2.0) * spacing_x
     off_y = (np.arange(n_y) - (n_y - 1) / 2.0) * spacing_y
-    n_pos = n_x * n_y
-    position_index = np.arange(n_pos).reshape(n_x, n_y)
-    positions, colors, tx_position = [], [], []
+    positions, colors = [], []
     for i in range(n_x):
         for j in range(n_y):
             for c in colors_per_position:
                 positions.append((off_x[i], off_y[j], 0.0))
                 colors.append(c)
-                tx_position.append(position_index[i, j])
     plane = ReceiverPlane(
         center_x=0.0,
         center_y=0.0,
@@ -90,14 +81,6 @@ def grid_scene(
         peak_power=np.full(len(positions), peak_power),
         avg_power=np.full(len(positions), avg_power),
         plane=plane,
-        layout=GridLayout(
-            n_x=n_x,
-            n_y=n_y,
-            spacing_x=spacing_x,
-            spacing_y=spacing_y,
-            position_index=position_index,
-            tx_position=np.array(tx_position),
-        ),
     )
 
 

@@ -122,10 +122,6 @@ class LayerTable:
     def n_layers(self) -> int:
         return self.tx.size
 
-    def layer_id(self, tx: int, layer_no: int) -> int:
-        """0-based layer id of (transmitter, layer number)."""
-        return int(np.sum(self.layers_per_tx[:tx])) + layer_no
-
     def pair(self, layer_id: int) -> tuple[int, int]:
         """1-based (transmitter, layer) pair of a 0-based layer id."""
         return int(self.tx[layer_id]) + 1, int(self.layer_no[layer_id]) + 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -63,16 +64,33 @@ def link_gain(
 # Relabeling under the array's reflections
 
 
+def grid_index(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    """The array's index matrix and each transmitter's position label.
+
+    ``index[i, j]`` is the 0-based label of the position at the i-th x and
+    j-th y coordinate (both ascending), numbered row-major as ``grid_scene``
+    places them; both are read off ``scene.tx_positions``.
+    """
+    xs = np.unique(scene.tx_positions[:, 0])
+    ys = np.unique(scene.tx_positions[:, 1])
+    index = np.arange(xs.size * ys.size).reshape(xs.size, ys.size)
+    ix = np.searchsorted(xs, scene.tx_positions[:, 0])
+    iy = np.searchsorted(ys, scene.tx_positions[:, 1])
+    return index, index[ix, iy]
+
+
+def layer_id(table: LayerTable, tx: int, layer_no: int) -> int:
+    """0-based layer id of (transmitter, layer number)."""
+    return int(np.sum(table.layers_per_tx[:tx])) + layer_no
+
+
 def _position_permutation(scene: Scene, transform: str) -> np.ndarray | None:
     """Permutation of position labels under a reflection, or None if unusable."""
-    layout = scene.layout
-    if layout is None:
+    xs = np.unique(scene.tx_positions[:, 0])
+    ys = np.unique(scene.tx_positions[:, 1])
+    if transform == "diagonal" and not np.array_equal(xs, ys):
         return None
-    if transform == "diagonal" and (
-        layout.n_x != layout.n_y or layout.spacing_x != layout.spacing_y
-    ):
-        return None
-    idx = layout.position_index
+    idx, _ = grid_index(scene)
     if transform == "vertical":
         image = idx[::-1, :]
     elif transform == "horizontal":
@@ -92,14 +110,13 @@ def layer_permutation(scene: Scene, table: LayerTable, transform: str) -> np.nda
     ``vertical`` reverses the x order of the array positions, ``horizontal``
     the y order, ``diagonal`` is the anti-transpose (square arrays only).
     """
-    layout = scene.layout
     pos_perm = _position_permutation(scene, transform)
     if pos_perm is None:
         raise InvalidParameterError(f"transform {transform!r} unavailable for this scene")
     # Transmitter at (position p, color slot c) maps to the same slot at the
     # image position; transmitters are ordered position-major by construction.
     by_pos: dict[int, list[int]] = {}
-    for t, p in enumerate(layout.tx_position):
+    for t, p in enumerate(grid_index(scene)[1]):
         by_pos.setdefault(int(p), []).append(t)
     tx_perm = np.empty(scene.n_tx, dtype=int)
     for p, txs in by_pos.items():
@@ -107,7 +124,7 @@ def layer_permutation(scene: Scene, table: LayerTable, transform: str) -> np.nda
             tx_perm[t] = by_pos[int(pos_perm[p])][slot]
     out = np.empty(table.n_layers, dtype=int)
     for k in range(table.n_layers):
-        out[k] = table.layer_id(int(tx_perm[table.tx[k]]), int(table.layer_no[k]))
+        out[k] = layer_id(table, int(tx_perm[table.tx[k]]), int(table.layer_no[k]))
     return out
 
 
@@ -253,6 +270,11 @@ def ordered_partitions(items, tau):
                 # inserting it at every position of the tail.
                 for pos in range(len(tail)):
                     yield tail[: pos + 1] + [block] + tail[pos + 1 :]
+
+
+def gaussian_surrogate(model: RateModel) -> RateModel:
+    """Same second-order statistics with exact-Gaussian inputs."""
+    return replace(model, nu2=model.var.copy(), phi=np.zeros_like(model.phi))
 
 
 def naive_rate(model: RateModel, signal, noise, clamp=True) -> float:

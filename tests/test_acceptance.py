@@ -35,6 +35,7 @@ from oracles import (
     apply_layer_permutation,
     best_min_rate,
     covariance_rate,
+    gaussian_surrogate,
     layer_permutation,
     tg_quadrature,
     wedge_relabeled_orders,
@@ -101,7 +102,7 @@ class TestGreedyOptimality:
         for trial in range(200):
             tau = 1 if trial % 2 == 0 else 2
             n = int(rng.integers(2, 6))  # up to 5 layers
-            model = random_model(rng, n_layers=n).gaussian_surrogate()
+            model = gaussian_surrogate(random_model(rng, n_layers=n))
             order = greedy_order(model, tau=tau)
             greedy_min = min(order.rates[k] for g in order.groups for k in g)
             brute = best_min_rate(model, range(n), tau)
@@ -233,7 +234,7 @@ class TestRefinementMonotonicity:
         users = user_grid((anchor[0], anchor[1], scene.plane.height), n_x=4, n_y=4)
         assoc = solve_association(solver, users, table, GAConfig(seed=1))
         models = [
-            solver.model_at(p) if assoc.assignment[j] >= 0 else None
+            model_at_position(scene, table, p, 0) if assoc.assignment[j] >= 0 else None
             for j, p in enumerate(users)
         ]
         result = iterative_rate_update(assoc, models, table)

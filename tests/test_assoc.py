@@ -15,8 +15,11 @@ from vlcmap.assoc import (
     truncate_depth,
 )
 from vlcmap.cpgd import DecodingOrder
-from vlcmap.errors import InfeasibleError
+from vlcmap.decmap import build_map
+from vlcmap.errors import ConfigError, InfeasibleError
 from vlcmap.experiments import user_grid
+from vlcmap.rates import model_at_position
+from vlcmap.sceneio import reference_scene
 from vlcmap.signaling import build_layer_set
 
 from oracles import assignment_evaluate, assignment_repair
@@ -159,6 +162,20 @@ class TestSolveAssociation:
         np.testing.assert_array_equal(direct.assignment, mapped.assignment)
         assert direct.objective == pytest.approx(mapped.objective, rel=1e-12)
 
+    def test_map_lookup_on_an_axis_of_one_sample(self):
+        scene = reference_scene(1, 2, spacing_x=0.6, spacing_y=0.6, plane_margin=0.0)
+        table = build_layer_set(scene, 2)
+        dmap = build_map(scene, table, 0)
+        assert dmap.xs.tolist() == [0.0]
+        z = scene.plane.height
+        solver = MapLookupSolver(dmap)
+        order = solver.order_at((0.0, 0.1, z))
+        assert order is dmap.cell(0, 4).order
+        assert order.groups == DirectSolver(scene, table, 0).order_at((0.0, 0.1, z)).groups
+        for x in (0.05, -1e-6):
+            with pytest.raises(ConfigError, match="outside the mapped plane"):
+                solver.order_at((x, 0.1, z))
+
     def test_all_outage_raises(self, corner_scene):
         table = build_layer_set(corner_scene, 2)
         solver = DirectSolver(corner_scene, table, 0)
@@ -231,7 +248,7 @@ class TestIterativeRateUpdate:
         scene, table, solver, users = corner_problem
         assoc = solve_association(solver, users, table, GAConfig(seed=seed))
         models = [
-            solver.model_at(p) if assoc.assignment[j] >= 0 else None
+            model_at_position(scene, table, p, 0) if assoc.assignment[j] >= 0 else None
             for j, p in enumerate(users)
         ]
         return table, assoc, models

@@ -18,7 +18,7 @@ from vlcmap.rates import model_at_position
 from vlcmap.sceneio import grid_scene, reference_scene
 from vlcmap.signaling import build_layer_set
 
-from oracles import layer_permutation, max_average_loss, wedge_relabeled_orders
+from oracles import grid_index, layer_permutation, max_average_loss, wedge_relabeled_orders
 
 TRANSFORMS = ("diagonal", "horizontal", "vertical")
 
@@ -57,7 +57,7 @@ class TestIndexMatrix:
 
     def test_label_permutation_matches_matrices(self, square):
         scene, table = square
-        idx = scene.layout.position_index
+        idx, _ = grid_index(scene)
         flipped = {
             "diagonal": idx[::-1, ::-1].T,
             "horizontal": idx[:, ::-1],

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vlcmap.assoc import GAConfig
-from vlcmap.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
+from vlcmap import experiments
+from vlcmap.assoc import DirectSolver, GAConfig, solve_association
+from vlcmap.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
 from vlcmap.decmap import save_map
 from vlcmap.experiments import (
     AssocExperimentConfig,
     MapExperimentConfig,
     SweepConfig,
+    associate,
     run_assoc_experiment,
     run_map_experiment,
     run_sweep_experiment,
     user_grid,
 )
+from vlcmap.signaling import build_layer_set
 
 SMALL_GA = GAConfig(population=16, generations=30, seed=0)
 
@@ -86,8 +89,43 @@ class TestRunSweepExperiment:
         rows = run_sweep_experiment(corner_scene, cfg, tmp_path)
         assert len(rows) == 3
         csv = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert csv[0] == "a,b,n_served,sum_rate_assoc,sum_rate,min_user_rate,rounds"
+        assert csv[0] == "a,b,n_served,sum_rate_assoc,sum_rate,min_user_rate,rounds,converged"
         assert len(csv) == 4
+        assert all(r["converged"] for r in rows)
+        assert all(line.endswith(",1") for line in csv[1:])
+
+    def test_rows_equal_the_associate_record(self, corner_scene, tmp_path):
+        acfg = AssocExperimentConfig(ga=SMALL_GA)
+        cfg = SweepConfig(
+            a_range=(0.1, 0.1), b_range=(0.0, 0.0), fixed=corner_scene.plane.height,
+            grid_n=2, assoc=acfg,
+        )
+        (row,) = run_sweep_experiment(corner_scene, cfg, tmp_path)
+        table = build_layer_set(corner_scene, acfg.layers_per_tx)
+        users = user_grid((0.1, 0.0, corner_scene.plane.height), 2, 2)
+        record = associate(
+            corner_scene, table, DirectSolver(corner_scene, table, 0), users, acfg
+        )
+        fields = set(row) - {"a", "b"}
+        assert {k: row[k] for k in fields} == {k: record[k] for k in fields}
+
+    def test_non_convergence_and_outage_rows(self, corner_scene, tmp_path):
+        # One refinement round is too few to converge; the anchor 5 m off
+        # the array sees no transmitter at all.
+        cfg = SweepConfig(
+            a_range=(0.0, 5.0),
+            b_range=(0.1, 0.1),
+            step=5.0,
+            fixed=corner_scene.plane.height,
+            grid_n=2,
+            assoc=AssocExperimentConfig(ga=SMALL_GA, max_rounds=1),
+        )
+        lit, dark = run_sweep_experiment(corner_scene, cfg, tmp_path)
+        assert (lit["rounds"], lit["converged"]) == (1, False)
+        assert (dark["n_served"], dark["rounds"], dark["converged"]) == (0, 0, None)
+        csv = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert csv[1].endswith(",1,0")
+        assert csv[2] == "5.0,0.1,0,0.0,0.0,nan,0,"
 
 
 class TestCli:
@@ -187,22 +225,62 @@ class TestCli:
         [
             ["assoc", "solve", "--anchor", "1.5", "1.5"],
             ["sweep", "run", "--a-range", "1.2", "1.2", "--b-range", "0", "0"],
+            # The first anchor's users lie on the map, the last one's do not.
+            ["sweep", "run", "--a-range", "1.0", "1.2", "--step", "0.2",
+             "--b-range", "0", "0"],
         ],
-        ids=["assoc-solve", "sweep-run"],
+        ids=["assoc-solve", "sweep-run", "sweep-run-range"],
     )
     def test_users_off_the_map_are_config_errors(
-        self, benchmark_map, tmp_path, args
+        self, benchmark_map, tmp_path, monkeypatch, args
     ):
         # The user grid reaches past the map's plane: no order to look up.
         map_path = tmp_path / "map.json"
         save_map(benchmark_map, map_path)
-        res = self.runner.invoke(
-            main, args + ["--map", str(map_path), "--out", str(tmp_path / "out")]
+        solved = []
+        monkeypatch.setattr(
+            experiments, "solve_association",
+            lambda *a, **k: solved.append(a) or solve_association(*a, **k),
         )
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, args + ["--map", str(map_path), "--out", str(out)])
         assert res.exit_code == EXIT_CONFIG
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert "outside the mapped plane" in res.output
+        if args[0] == "sweep":
+            assert not solved
+            assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["assoc", "solve", "--anchor", "0.35", "0.0"],
+            ["assoc", "solve", "--anchor", "0.100001", "0.0"],
+            ["assoc", "solve", "--users", "USERS"],
+            ["sweep", "run", "--plane", "yz", "--a-range", "0", "0",
+             "--b-range", "2.0", "2.0"],
+        ],
+        ids=["anchor-between-samples", "anchor-1um-off", "z-off-the-plane", "yz-plane"],
+    )
+    def test_users_between_map_samples_are_config_errors(
+        self, benchmark_map, tmp_path, args
+    ):
+        # Each user grid lies on the mapped plane but off its samples: map
+        # lookup must not snap it to the nearest one.
+        map_path = tmp_path / "map.json"
+        save_map(benchmark_map, map_path)
+        users = tmp_path / "users.csv"
+        users.write_text("0.1,0.0,2.0\n0.1,0.0,1.9\n")
+        args = [str(users) if a == "USERS" else a for a in args]
+        res = self.runner.invoke(
+            main,
+            args + ["--map", str(map_path), "--out", str(tmp_path / "out"),
+                    "--population", "16", "--generations", "5"],
+        )
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "not a sample of the map" in res.output
 
     def test_assoc_solve_with_users_csv(self, tmp_path):
         users = tmp_path / "users.csv"
@@ -233,6 +311,21 @@ class TestCli:
     def test_assoc_solve_needs_positions(self):
         res = self.runner.invoke(main, ["assoc", "solve"])
         assert res.exit_code == EXIT_CONFIG
+
+    def test_sweep_run_non_convergence_exits_4(self, tmp_path, monkeypatch):
+        refine = experiments.iterative_rate_update
+        monkeypatch.setattr(
+            experiments, "iterative_rate_update",
+            lambda *a, **k: refine(*a, **{**k, "max_rounds": 1}),
+        )
+        out = tmp_path / "s"
+        res = self.runner.invoke(main, [
+            "sweep", "run", "--a-range", "0.0", "0.0", "--b-range", "0.0", "0.0",
+            "--population", "16", "--generations", "5", "--out", str(out),
+        ])
+        assert res.exit_code == EXIT_NO_CONVERGENCE, res.output
+        assert (out / "run.json").exists()
+        assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",1,0")
 
     def test_sweep_run_deterministic(self, tmp_path):
         args = [

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from vlcmap.errors import CalibrationError, InvalidParameterError
 from vlcmap.signaling import build_layer_set, calibrate_layer, tg_moments
 
-from oracles import tg_quadrature
+from oracles import layer_id, tg_quadrature
 
 
 class TestTGMoments:
@@ -86,9 +86,9 @@ class TestLayerTable:
     def test_shapes_and_indexing(self, benchmark_scene, benchmark_table):
         t = benchmark_table
         assert t.n_layers == 2 * benchmark_scene.n_tx
-        assert t.layer_id(0, 0) == 0
-        assert t.layer_id(0, 1) == 1
-        assert t.layer_id(3, 1) == 7
+        assert layer_id(t, 0, 0) == 0
+        assert layer_id(t, 0, 1) == 1
+        assert layer_id(t, 3, 1) == 7
         assert t.pair(0) == (1, 1)
         assert t.pair(7) == (4, 2)
 
