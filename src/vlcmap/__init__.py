@@ -23,12 +23,11 @@ from .errors import (
     CalibrationError,
     ConfigError,
     GeometryError,
-    IncompatiblePositionsError,
     InfeasibleError,
     InvalidParameterError,
     VlcError,
 )
-from .rates import RateModel, achievable_rate, model_at, model_at_position, rate_margin
+from .rates import RateModel, achievable_rate, model_at, model_at_position
 from .sceneio import SceneSpec, calibrate_noise, grid_scene, load_scene, reference_scene
 from .signaling import LayerTable, TGParams, build_layer_set, calibrate_layer, tg_moments
 
@@ -44,7 +43,6 @@ __all__ = [
     "DirectSolver",
     "GAConfig",
     "GeometryError",
-    "IncompatiblePositionsError",
     "InfeasibleError",
     "InvalidParameterError",
     "LayerTable",
@@ -69,7 +67,6 @@ __all__ = [
     "model_at",
     "model_at_position",
     "reference_scene",
-    "rate_margin",
     "reduce_map",
     "save_map",
     "solve_association",

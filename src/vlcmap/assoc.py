@@ -11,20 +11,14 @@ a second phase redistributes margins with the iterative update pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cpgd import TIE_RTOL, DecodingOrder, _tie_argmin, greedy_order
+from .cpgd import DecodingOrder, _extract, greedy_order
 from .decmap import SAMPLE_TOL, DecodingMap
 from .errors import ConfigError, InfeasibleError, InvalidParameterError
-from .rates import (
-    RateModel,
-    _stage_rates,
-    model_at_position,
-    rate_margin,
-    subsets_in_bitmask_order,
-)
+from .rates import RateModel, _candidate_sets, _set_margins, model_at_position
 from .signaling import LayerTable
 
 
@@ -41,14 +35,15 @@ class MapLookupSolver:
     def order_at(self, position) -> DecodingOrder:
         """The order of the map cell at ``position``, which must be its sample.
 
-        A position more than ``SAMPLE_TOL`` from the nearest cell's position
-        in x, y or z raises :class:`ConfigError` rather than being snapped.
+        :meth:`DecodingMap.cell_at` rejects an (x, y) off the samples, and a
+        z more than ``SAMPLE_TOL`` off the map's plane raises
+        :class:`ConfigError` too: nothing is snapped.
         """
         cell = self.dmap.cell_at(position[0], position[1])
-        if any(abs(p - q) > SAMPLE_TOL for p, q in zip(position, cell.position)):
+        if abs(position[2] - cell.position[2]) > SAMPLE_TOL:
             raise ConfigError(
                 f"position {tuple(float(p) for p in position)} is not a sample of the "
-                f"map; the nearest sample is {cell.position}"
+                f"map: the map's plane is at z = {cell.position[2]}"
             )
         return cell.order
 
@@ -386,22 +381,11 @@ def solve_association(
 
 
 @dataclass
-class UserOrder:
-    """Margin-greedy order of one user: decoded stages plus a residual bucket."""
-
-    groups: list[tuple[int, ...]]
-    residual: tuple[int, ...]
-
-
-@dataclass
 class RateUpdateResult:
     rates: np.ndarray               # (L,) refined global rates, +inf where unbound
-    orders: list[UserOrder | None]  # per user, None when unserved
     rounds: int
     converged: bool
     sum_rate: float
-    # Assigned-layer sum rate recorded after each refinement round.
-    history: list[float] = field(default_factory=list)
 
 
 def _margin_greedy_user(
@@ -410,61 +394,28 @@ def _margin_greedy_user(
     tx: int,
     rhat: np.ndarray,
     tau: int,
-) -> tuple[np.ndarray, UserOrder]:
+) -> np.ndarray:
     """One user's extraction pass of the iterative update.
 
-    Returns the per-layer recorded increments (+inf where not recorded) and
-    the resulting order.  Groups are extracted by smallest accumulated-rate
-    margin; increments are recorded only once a layer of the user's own
-    transmitter has been extracted.
+    Returns the per-layer recorded increments (+inf where not recorded).
+    Each stage extracts the candidate set of smallest margin
+    (:func:`_set_margins`) against the accumulated rates, with everything
+    extracted before it as noise; increments are recorded once a layer of
+    the user's own transmitter has been extracted.
     """
     detectable = [int(k) for k in np.flatnonzero(model.gains != 0.0)]
-    increments = np.full(table.n_layers, np.inf)
     own = set(int(k) for k in np.flatnonzero(table.tx == tx))
-    if not own & set(detectable):
+    if own.isdisjoint(detectable):
         raise InfeasibleError(f"assigned transmitter {tx} undetectable")
-    remaining = list(detectable)
-    extracted: list[int] = []
-    taken: list[tuple[int, ...]] = []
-    recorded_flags: list[bool] = []
+    cands = _candidate_sets(model, detectable, tau)
+    alloc = np.append(rhat, 0.0)[cands.sets].sum(axis=1)
+    increments = np.full(table.n_layers, np.inf)
     seen_own = False
-    pw = model.power
-    log_nu2 = np.log(model.nu2)
-    base = model.noise_var
-    while remaining:
-        if tau == 1:
-            arr = np.asarray(remaining, dtype=int)
-            p = pw[arr]
-            rates = _stage_rates(log_nu2[arr], model.var[arr], model.phi[arr], p, p + base)
-            np.maximum(rates, 0.0, out=rates)
-            margins = rates - rhat[arr]
-            j = int(np.argmin(margins))
-            if model.tiebreak is not None and math.isfinite(margins[j]):
-                tol = TIE_RTOL * max(abs(float(margins[j])), 1.0)
-                tied = np.flatnonzero(margins <= margins[j] + tol)
-                if tied.size > 1:
-                    j = int(tied[_tie_argmin(model.tiebreak, arr[tied])])
-            best_set, best_val = (int(arr[j]),), float(margins[j])
-        else:
-            best_set, best_val = None, None
-            for sub in subsets_in_bitmask_order(remaining, tau):
-                val = rate_margin(model, sub, extracted, rhat)
-                if best_val is None or val < best_val:
-                    best_set, best_val = sub, val
-        taken.append(best_set)
-        for k in best_set:
-            remaining.remove(k)
-        extracted.extend(best_set)
-        base += float(pw[list(best_set)].sum())
-        if not seen_own and own & set(best_set):
-            seen_own = True
-        recorded_flags.append(seen_own)
+    for best, margin in _extract(model, cands, lambda base: _set_margins(cands, alloc, base)):
+        seen_own = seen_own or not own.isdisjoint(best)
         if seen_own:
-            for k in best_set:
-                increments[k] = best_val
-    decoded = [grp for grp, rec in zip(taken, recorded_flags) if rec]
-    residual = tuple(k for grp, rec in zip(taken, recorded_flags) if not rec for k in grp)
-    return increments, UserOrder(groups=list(reversed(decoded)), residual=residual)
+            increments[list(best)] = margin
+    return increments
 
 
 def iterative_rate_update(
@@ -484,31 +435,23 @@ def iterative_rate_update(
     """
     rhat = association.rbar.copy()
     served = [j for j, tx in enumerate(association.assignment) if tx >= 0]
-    orders: list[UserOrder | None] = [None] * len(association.assignment)
     rounds = 0
     converged = False
-    history: list[float] = []
     while rounds < max_rounds:
         rounds += 1
-        all_inc = []
-        for j in served:
-            inc, order = _margin_greedy_user(
-                user_models[j], table, int(association.assignment[j]), rhat, tau
-            )
-            orders[j] = order
-            all_inc.append(inc)
+        all_inc = [
+            _margin_greedy_user(user_models[j], table, int(association.assignment[j]), rhat, tau)
+            for j in served
+        ]
         fold = np.min(np.stack(all_inc), axis=0)
         finite = np.isfinite(fold)
         rhat[finite] = rhat[finite] + fold[finite]
-        history.append(assigned_sum_rate(rhat, table, association.assignment))
         if not finite.any() or np.max(np.abs(fold[finite])) < eps:
             converged = True
             break
     return RateUpdateResult(
         rates=rhat,
-        orders=orders,
         rounds=rounds,
         converged=converged,
         sum_rate=assigned_sum_rate(rhat, table, association.assignment),
-        history=history,
     )

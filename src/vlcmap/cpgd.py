@@ -8,32 +8,35 @@ everything else has been cancelled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .rates import (
-    RateModel,
-    _stage_rates,
-    achievable_rate,
-    rate_margin,
-    subsets_in_bitmask_order,
-)
+from .rates import RateModel, _Candidates, _candidate_sets, _set_rates, _stage_rates
 
 DEFAULT_GROUP_SIZE = 1
 # Relative tolerance under which two selection values count as an exact tie.
 TIE_RTOL = 1e-12
 
 
-def _tie_argmin(tiebreak: np.ndarray, layers: np.ndarray) -> int:
-    """Index into ``layers`` of the lexicographically smallest key row.
+def _tie_argmin(vals: np.ndarray, keys: np.ndarray | None) -> int:
+    """Index of the least of ``vals``, the one tie rule of every greedy pass.
 
-    Falls back to the lowest layer id among rows that tie on every key.
+    Values within ``TIE_RTOL`` of the least tie; the tied candidate with the
+    lexicographically smallest ``keys`` row wins, then the lowest index
+    (bitmask order of the candidate sets).  Without keys, or when the least
+    value is -inf, the first least value wins.
     """
-    rows = tiebreak[layers]
-    order = np.lexsort((layers,) + tuple(rows.T[::-1]))
-    return int(order[0])
+    j = int(vals.argmin())
+    least = float(vals[j])
+    if keys is None or not math.isfinite(least):
+        return j
+    tied = (vals <= least + TIE_RTOL * max(abs(least), 1.0)).nonzero()[0]
+    if tied.size == 1:
+        return j
+    return int(tied[np.lexsort((tied,) + tuple(keys[tied].T[::-1]))[0]])
 
 
 @dataclass
@@ -76,8 +79,11 @@ def greedy_order(
 
     At each step the candidate set V minimizing R(V, extracted)/|V| over
     non-empty V of size at most tau is extracted and its layers get that
-    per-layer rate; ties pick the lowest bitmask.  Positions with nothing
-    detectable return an outage marker.
+    per-layer rate; exact ties go by :func:`_tie_argmin`.  Selection uses
+    the unclamped bound: clamping collapses all weak layers to rate 0, and
+    breaking those ties by layer id would make orders at mirrored positions
+    differ by more than a relabeling.  Positions with nothing detectable
+    return an outage marker.
     """
     if tau < 1:
         raise InvalidParameterError("group size bound must be >= 1")
@@ -86,41 +92,15 @@ def greedy_order(
         return outage_order(model.n_layers, position)
     if tau == 1:
         return _greedy_singletons(model, universe, position)
-    remaining = list(universe)
-    extracted: list[int] = []
+    # Every stage scores all candidate sets in one array pass.
+    cands = _candidate_sets(model, universe, tau)
     rates = np.full(model.n_layers, np.nan)
     taken: list[tuple[int, ...]] = []
-    while remaining:
-        # Selection uses the unclamped bound: clamping collapses all weak
-        # layers to rate 0, and breaking those ties by layer id would make
-        # orders at mirrored positions differ by more than a relabeling.
-        subs = subsets_in_bitmask_order(remaining, tau)
-        vals = [
-            achievable_rate(model, sub, extracted, clamp=False) / len(sub)
-            for sub in subs
-        ]
-        best_val = min(vals)
-        if model.tiebreak is None:
-            best_set = subs[vals.index(best_val)]
-        else:
-            tol = TIE_RTOL * max(abs(best_val), 1.0)
-            tied = [s for s, v in zip(subs, vals) if v <= best_val + tol]
-            best_set = min(
-                tied, key=lambda s: tuple(model.tiebreak[list(s)].sum(axis=0))
-            )
-            best_val = vals[subs.index(best_set)]
-        taken.append(best_set)
-        stored = max(best_val, 0.0)
-        for k in best_set:
-            rates[k] = stored
-            remaining.remove(k)
-        extracted.extend(best_set)
-    return DecodingOrder(
-        groups=list(reversed(taken)),
-        rates=rates,
-        detectable=universe,
-        position=position,
-    )
+    stages = _extract(model, cands, lambda base: _set_rates(*cands.ops, base) / cands.size)
+    for best, val in stages:
+        taken.append(best)
+        rates[list(best)] = max(val, 0.0)
+    return DecodingOrder(list(reversed(taken)), rates, universe, position)
 
 
 def _greedy_singletons(
@@ -132,21 +112,16 @@ def _greedy_singletons(
     log_nu2 = np.log(model.nu2[idx])
     var = model.var[idx]
     phi = model.phi[idx]
+    keys = None if model.tiebreak is None else model.tiebreak[idx]
     alive = np.ones(idx.size, dtype=bool)
     base = model.noise_var
     rates = np.full(model.n_layers, np.nan)
     taken: list[tuple[int, ...]] = []
     for _ in range(idx.size):
         denom = pw + base
-        # Unclamped selection: see greedy_order on clamp-induced ties.
         vals = _stage_rates(log_nu2, var, phi, pw, denom)
         vals[~alive] = np.inf
-        j = int(np.argmin(vals))  # first minimum = lowest layer id
-        if model.tiebreak is not None:
-            tol = TIE_RTOL * max(abs(float(vals[j])), 1.0)
-            tied = np.flatnonzero(vals <= vals[j] + tol)
-            if tied.size > 1:
-                j = int(tied[_tie_argmin(model.tiebreak, idx[tied])])
+        j = _tie_argmin(vals, keys)
         k = int(idx[j])
         taken.append((k,))
         rates[k] = max(float(vals[j]), 0.0)
@@ -160,25 +135,24 @@ def _greedy_singletons(
     )
 
 
-def rates_under_fixed_order(
-    model: RateModel,
-    groups: list[tuple[int, ...]],
-) -> np.ndarray:
-    """Per-layer rates when the decoding order is imposed.
+def _extract(model: RateModel, cands: _Candidates, score):
+    """Greedy extraction over candidate sets, one (set, value) per stage.
 
-    Stage m gets the zero-allocation rate margin of its group against the
-    later groups as noise, shared among the group's layers.
+    ``score(base)`` values every candidate against ``base``, the AWGN plus
+    the power of the layers extracted so far; among the sets free of
+    extracted layers the least value goes by :func:`_tie_argmin`.
     """
-    seen: set[int] = set()
-    for grp in groups:
-        if not grp or seen & set(grp):
-            raise InvalidParameterError("groups must be disjoint and non-empty")
-        seen.update(grp)
-    rates = np.full(model.n_layers, np.nan)
-    zero = np.zeros(model.n_layers)
-    for m, grp in enumerate(groups):
-        later = [k for g in groups[m + 1 :] for k in g]
-        delta = rate_margin(model, grp, later, zero)
-        for k in grp:
-            rates[k] = delta
-    return rates
+    dead = np.zeros(len(cands.subs), dtype=bool)
+    left = len(cands.holding)
+    pw = model.power.tolist()
+    base = model.noise_var
+    while left:
+        vals = score(base)
+        vals[dead] = np.inf
+        j = _tie_argmin(vals, cands.keys)
+        best = cands.subs[j]
+        left -= len(best)
+        for k in best:
+            dead[cands.holding[k]] = True
+            base += pw[k]
+        yield best, float(vals[j])

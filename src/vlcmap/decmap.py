@@ -11,15 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Scene, gain_vector
-from .cpgd import DecodingOrder, greedy_order, outage_order, rates_under_fixed_order
-from .errors import ConfigError, IncompatiblePositionsError
-from .rates import RateModel, _stage_rates, geometric_tiebreak, model_at
+from .cpgd import DecodingOrder, greedy_order, outage_order
+from .errors import ConfigError
+from .rates import (
+    _candidates,
+    _set_margins,
+    _stage_rates,
+    geometric_tiebreak,
+    model_at,
+    subsets_in_bitmask_order,
+)
 from .signaling import LayerTable
 
 # ---------------------------------------------------------------------------
@@ -71,11 +77,18 @@ class DecodingMap:
         return self.cells[ix * self.ys.size + iy]
 
     def cell_at(self, x: float, y: float) -> MapCell:
-        """The cell whose sample is nearest (x, y) on the mapped plane."""
+        """The cell sampled at (x, y), to within ``SAMPLE_TOL`` on each axis.
+
+        A position outside the mapped plane or between samples raises
+        :class:`ConfigError`; it is never snapped to the nearest sample.
+        """
         ix, iy = _nearest_sample(self.xs, x), _nearest_sample(self.ys, y)
         if not (0 <= ix < self.xs.size and 0 <= iy < self.ys.size):
             raise ConfigError(f"position ({x}, {y}) outside the mapped plane")
-        return self.cell(ix, iy)
+        cell = self.cell(ix, iy)
+        if max(abs(x - cell.position[0]), abs(y - cell.position[1])) > SAMPLE_TOL:
+            raise ConfigError(f"position ({x}, {y}) is not a sample of the map")
+        return cell
 
     @property
     def n_active(self) -> int:
@@ -142,46 +155,22 @@ def build_map(
 # Normalized distance and size reduction
 
 
-def normalized_distance(
-    order_src: DecodingOrder, order_dst: DecodingOrder, model_dst: RateModel
-) -> float:
-    """Normalized rate loss of reusing one cell's order at another cell.
-
-    Both rate vectors span all layers: layers undetectable at the
-    destination carry zero rate, and destination layers the source order
-    never decodes are lost entirely (zero in the mimicking vector), so the
-    distance is finite even when the two cells detect different layer sets.
-    """
-    if order_src.outage or order_dst.outage:
-        raise IncompatiblePositionsError("outage positions have no decoding order")
-    n = order_dst.rates.size
-    ref = np.zeros(n)
-    idx = list(order_dst.detectable)
-    ref[idx] = order_dst.rates[idx]
-    mimic = np.zeros(n)
-    flat = [k for grp in order_src.groups for k in grp]
-    vals = rates_under_fixed_order(model_dst, order_src.groups)
-    mimic[flat] = vals[flat]
-    mimic[model_dst.gains == 0.0] = 0.0
-    norm = float(np.linalg.norm(ref))
-    diff = float(np.linalg.norm(ref - mimic))
-    if norm == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / norm
-
-
-def _distance_matrix_tau1(
+def _distance_matrix(
     orders: list[DecodingOrder],
     layer_gains: np.ndarray,
     table: LayerTable,
     noise_var: float,
 ) -> np.ndarray:
-    """d[i, j] = distance of using cell i's order at cell j, group size 1.
+    """d[i, j] = normalized rate loss of using cell i's order at cell j.
 
     Vectorized over destinations: one pass per source order evaluates its
-    stage sequence against every cell's gains at once.  Layers undetectable
-    at the destination get zero rate; destination layers missing from the
-    source order stay zero in the mimicking vector.
+    stage sequence against every cell's gains at once.  Each stage's group
+    gets its rate margin at the destination, the least clamped per-layer
+    rate over the group's non-empty subsets with the later groups as noise.
+    Both rate vectors span all layers: layers undetectable at the
+    destination get zero rate, and destination layers the source order
+    never decodes stay zero in the mimicking vector, so the distance is
+    finite even when the two cells detect different layer sets.
     """
     n = len(orders)
     L = table.n_layers
@@ -196,13 +185,17 @@ def _distance_matrix_tau1(
     phi = table.phi
     out = np.empty((n, n))
     for i in range(n):
-        seq = [g[0] for g in orders[i].groups]  # decode order, stage 0 first
+        groups = orders[i].groups
+        seq = [k for g in groups for k in g]  # decode order, stage 0 first
         p = pw[:, seq]
         suffix = np.concatenate(
             [np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((n, 1))], axis=1
         )
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = _stage_rates(log_nu2[seq], var[seq], phi[seq], p, p + suffix + noise_var)
+            if len(seq) == len(groups):  # one layer per stage
+                vals = _stage_rates(log_nu2[seq], var[seq], phi[seq], p, p + suffix + noise_var)
+            else:
+                vals = _group_rates(groups, pw, suffix + noise_var, log_nu2, var, phi)
         np.maximum(vals, 0.0, out=vals)
         vals[p == 0.0] = 0.0
         mimic = np.zeros((n, L))
@@ -213,6 +206,22 @@ def _distance_matrix_tau1(
                 ref_norm > 0.0, diff / ref_norm, np.where(diff == 0.0, 0.0, np.inf)
             )
     return out
+
+
+def _group_rates(groups, pw, rest, log_nu2, var, phi) -> np.ndarray:
+    """Each layer's rate, in decode order, under a fixed group order.
+
+    A group's layers share its rate margin with nothing allocated
+    (:func:`_set_margins`), the AWGN plus the later groups' power (``rest``
+    at the group's last layer) as noise.
+    """
+    per_group = [subsets_in_bitmask_order(g, len(g)) for g in groups]
+    cands = _candidates([d for ds in per_group for d in ds], log_nu2, var, phi, pw)
+    counts = [len(ds) for ds in per_group]
+    last = np.cumsum([len(g) for g in groups]) - 1
+    margins = _set_margins(cands, 0.0, rest[:, np.repeat(last, counts)])
+    # A group is the last of its own subsets in bitmask order.
+    return np.repeat(margins[:, np.cumsum(counts) - 1], [len(g) for g in groups], axis=1)
 
 
 def reduce_map(
@@ -245,23 +254,7 @@ def reduce_map(
             scene, (dmap.xs[cell.ix], dmap.ys[cell.iy], z), dmap.filter_index
         )
         layer_gains[r] = g[table.tx]
-    if dmap.tau == 1:
-        dist = _distance_matrix_tau1(orders, layer_gains, table, dmap.noise_var)
-    else:
-        dist = np.empty((len(members), len(members)))
-        models = [
-            RateModel(
-                gains=layer_gains[j],
-                nu2=table.nu**2,
-                var=table.var.copy(),
-                phi=table.phi.copy(),
-                noise_var=dmap.noise_var,
-            )
-            for j in range(len(members))
-        ]
-        for i in range(len(members)):
-            for j in range(len(members)):
-                dist[i, j] = normalized_distance(orders[i], orders[j], models[j])
+    dist = _distance_matrix(orders, layer_gains, table, dmap.noise_var)
     clusters = [
         [members[r] for r in cat] for cat in _peel_categories(dist, tau_diff, tau_loss)
     ]
@@ -412,8 +405,10 @@ def _cell_record(rec, n_layers: int) -> MapCell:
 def load_map(path) -> DecodingMap:
     """Read a map written by :func:`save_map`.
 
-    Another format or version, malformed JSON, or a missing or wrongly typed
-    field raises :class:`ConfigError`.
+    Another format or version, malformed JSON, a missing or wrongly typed
+    field, or a cell record whose indices or position disagree with its
+    row-major place on the ``xs``/``ys`` grid (or whose z differs from the
+    other cells') raises :class:`ConfigError`.
     """
     try:
         with open(path) as fh:
@@ -431,6 +426,11 @@ def load_map(path) -> DecodingMap:
         cells = [_cell_record(rec, n_layers) for rec in _field(payload, "cells", list)]
         if len(cells) != xs.size * ys.size:
             raise ValueError(f"{len(cells)} cells for a {xs.size}x{ys.size} grid")
+        for i, cell in enumerate(cells):
+            ix, iy = divmod(i, ys.size)
+            place = (ix, iy, (float(xs[ix]), float(ys[iy]), cells[0].position[2]))
+            if (cell.ix, cell.iy, cell.position) != place:
+                raise ValueError(f"cell record {i} is not the cell (ix, iy, position) = {place}")
         thresholds = None
         if payload["thresholds"] is not None:
             thresholds = tuple(_numbers(payload, "thresholds", 2))

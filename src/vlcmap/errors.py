@@ -21,9 +21,5 @@ class CalibrationError(VlcError):
     """Truncated-Gaussian calibration failed to bracket a root."""
 
 
-class IncompatiblePositionsError(VlcError):
-    """Two positions have different detectable layer sets; no finite distance."""
-
-
 class InfeasibleError(VlcError):
     """No feasible transmitter-user assignment exists."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,6 +132,25 @@ def _stage_rates(log_nu2, var, phi, power, denom):
     return (0.5 * (log_nu2 - np.log(var - power * var / denom)) - phi) / LN2
 
 
+def _set_rates(log_nu2, var, phi, power, base):
+    """Unclamped chain sum rate of many candidate decoding sets at once.
+
+    The last axis runs over one set's layers in ascending id, as
+    :func:`_candidates` gathers them; ``base`` is the variance every stage
+    of a set sees besides the set's own undecoded layers (AWGN plus noise
+    layers): one value for all sets, or one per set (and receiver).  Stage
+    m of a set sees its layers m.. plus ``base``, as in
+    :func:`achievable_rate`.  Sets of one layer are one :func:`_stage_rates`
+    call, the group-size-one stage.
+    """
+    if power.shape[-1] == 1:
+        p = power[..., 0]
+        return _stage_rates(log_nu2[..., 0], var[..., 0], phi[..., 0], p, p + base)
+    chain = np.cumsum(power[..., ::-1], axis=-1)[..., ::-1]
+    denom = chain + np.expand_dims(base, -1)
+    return _stage_rates(log_nu2, var, phi, power, denom).sum(axis=-1)
+
+
 def subsets_in_bitmask_order(
     members: Sequence[int], max_size: int
 ) -> list[tuple[int, ...]]:
@@ -144,31 +163,79 @@ def subsets_in_bitmask_order(
     members = sorted(members)
     for size in range(1, min(max_size, len(members)) + 1):
         subs.extend(combinations(members, size))
-    subs.sort(key=lambda s: sum(1 << k for k in s))
+    # Ascending bitmask order is lexicographic order of the reversed tuples.
+    subs.sort(key=lambda s: s[::-1])
     return subs
 
 
-def rate_margin(
-    model: RateModel,
-    signal: Sequence[int],
-    noise: Sequence[int],
-    rates: np.ndarray,
-) -> float:
-    """Largest uniform per-layer rate increase the signal set can absorb.
+class _Candidates(NamedTuple):
+    """Candidate decoding sets as arrays, built by :func:`_candidates`.
 
-    Minimizes ``(R(D, noise) - sum(rates[D])) / |D|`` over all non-empty
-    subsets D of the signal set.  ``rates`` is indexed by layer id; +inf
-    entries make the margin -inf (such layers should never appear in a
-    decodable signal set).
+    ``subs`` lists the sets; ``sets`` holds their ids padded with the layer
+    count, ``size`` their sizes and ``ops`` their :func:`_set_rates`
+    operands; ``keys`` their summed tie-break key rows (None without keys);
+    ``holding[k]`` the sets holding layer k; ``subsets[c]`` the indices of
+    set c's non-empty subsets, padded with c (None if all are singletons).
     """
-    if len(signal) == 0:
-        raise InvalidParameterError("signal set must be non-empty")
-    best = math.inf
-    for sub in subsets_in_bitmask_order(signal, len(signal)):
-        allocated = float(np.sum(rates[list(sub)]))
-        if math.isinf(allocated):
-            return -math.inf
-        val = (achievable_rate(model, sub, noise) - allocated) / len(sub)
-        if val < best:
-            best = val
-    return best
+
+    subs: list[tuple[int, ...]]
+    sets: np.ndarray
+    size: np.ndarray
+    ops: tuple[np.ndarray, ...]
+    keys: np.ndarray | None
+    holding: dict[int, list[int]]
+    subsets: np.ndarray | None
+
+
+def _candidates(subs, log_nu2, var, phi, power, tiebreak=None) -> _Candidates:
+    """The candidate sets ``subs``, each ascending and each subset of one listed too.
+
+    The per-layer arrays have L entries on their last axis (``power`` may
+    lead with one axis of receivers).  Padding entries get log_nu2 0,
+    var 1, phi 0 and power 0, whose stage rate is exactly 0.
+    """
+    width = max(len(s) for s in subs)
+    pad = (log_nu2.shape[-1],)
+    sets = np.array([s + pad * (width - len(s)) for s in subs])
+    ops = tuple(
+        np.concatenate([x, np.full(x.shape[:-1] + (1,), fill)], axis=-1)[..., sets]
+        for x, fill in zip((log_nu2, var, phi, power), (0.0, 1.0, 0.0, 0.0))
+    )
+    keys = None
+    if tiebreak is not None:
+        keys = np.vstack([tiebreak, np.zeros(tiebreak.shape[1])])[sets].sum(axis=1)
+    holding: dict[int, list[int]] = {}
+    for c, sub in enumerate(subs):
+        for k in sub:
+            holding.setdefault(k, []).append(c)
+    subsets = None
+    if width > 1:
+        pos = {sub: c for c, sub in enumerate(subs)}
+        rows = [[pos[d] for r in range(len(s)) for d in combinations(s, r + 1)] for s in subs]
+        subsets = np.array([row + [c] * (2**width - 1 - len(row)) for c, row in enumerate(rows)])
+    size = np.array([len(s) for s in subs])
+    return _Candidates(subs, sets, size, ops, keys, holding, subsets)
+
+
+def _candidate_sets(model: RateModel, universe: Sequence[int], tau: int) -> _Candidates:
+    """Every decoding set of at most ``tau`` layers of ``universe``, bitmask order."""
+    subs = subsets_in_bitmask_order(universe, tau)
+    return _candidates(
+        subs, np.log(model.nu2), model.var, model.phi, model.power, model.tiebreak
+    )
+
+
+def _set_margins(cands: _Candidates, alloc: np.ndarray, base: float) -> np.ndarray:
+    """Largest uniform per-layer rate increase each candidate set can absorb.
+
+    A set's margin is the least ``(max(R(D), 0) - alloc(D)) / |D|`` over its
+    non-empty subsets D, each stage seeing ``base`` besides the set's own
+    undecoded layers; ``alloc`` holds each candidate's allocated rate sum
+    (or 0 for all).  An infinite allocation makes the margin -inf.
+    """
+    vals = _set_rates(*cands.ops, base)
+    np.maximum(vals, 0.0, out=vals)
+    vals -= alloc
+    if cands.subsets is None:
+        return vals
+    return (vals / cands.size)[..., cands.subsets].min(axis=-1)

@@ -8,6 +8,10 @@ the array-based ``_AssignmentProblem`` methods must equal bit for bit.
 The reflection relabeling of the transmitter array is the symmetry
 reference: greedy orders at mirrored positions must be its relabelings,
 and a map rebuilt from its 1/8 wedge must equal the directly solved map.
+Group decoding (group size bound tau >= 2) has scalar references that
+enumerate the candidate sets one at a time: the greedy order, the set
+margin and the margin-greedy pass of the rate update, and the normalized
+distance of the map's size reduction.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.integrate import quad
 
 from vlcmap.assoc import local_rate_vector
 from vlcmap.channel import Scene, gain_vector
-from vlcmap.cpgd import DecodingOrder, outage_order
+from vlcmap.cpgd import TIE_RTOL, DecodingOrder, outage_order
 from vlcmap.errors import GeometryError, InvalidParameterError
 from vlcmap.rates import RateModel
 from vlcmap.signaling import LayerTable
@@ -312,6 +316,106 @@ def rates_for_order(model: RateModel, groups, clamp=True) -> dict[int, float]:
         for k in grp:
             out[k] = best
     return out
+
+
+def bitmask_subsets(members, max_size):
+    """Non-empty subsets of at most ``max_size`` members, ascending bitmask."""
+    subs = [
+        sub
+        for size in range(1, min(max_size, len(members)) + 1)
+        for sub in itertools.combinations(sorted(members), size)
+    ]
+    return sorted(subs, key=lambda sub: sum(1 << k for k in sub))
+
+
+def tie_pick(vals, subs, tiebreak) -> int:
+    """The package's tie rule, one candidate at a time.
+
+    Values within ``TIE_RTOL`` of the least tie; the tied set with the
+    smallest summed key row wins, then the earliest.  Without keys, or at a
+    -inf least value, the first least value wins.
+    """
+    best = min(vals)
+    if tiebreak is None or not math.isfinite(best):
+        return vals.index(best)
+    tol = TIE_RTOL * max(abs(best), 1.0)
+    tied = [c for c, v in enumerate(vals) if v <= best + tol]
+    return min(tied, key=lambda c: (tuple(tiebreak[list(subs[c])].sum(axis=0)), c))
+
+
+def greedy_groups(model: RateModel, tau):
+    """Scalar greedy max-min order: groups in decode order and their rates.
+
+    Each step scores every candidate set of the remaining layers with
+    ``naive_rate`` against the extracted layers as noise.
+    """
+    remaining = [k for k in range(model.n_layers) if model.gains[k] != 0.0]
+    extracted: list[int] = []
+    taken = []
+    rates = np.full(model.n_layers, np.nan)
+    while remaining:
+        subs = bitmask_subsets(remaining, tau)
+        vals = [naive_rate(model, sub, extracted, clamp=False) / len(sub) for sub in subs]
+        c = tie_pick(vals, subs, model.tiebreak)
+        taken.append(subs[c])
+        rates[list(subs[c])] = max(vals[c], 0.0)
+        remaining = [k for k in remaining if k not in subs[c]]
+        extracted.extend(subs[c])
+    return list(reversed(taken)), rates
+
+
+def set_margin(model: RateModel, signal, noise, rates) -> float:
+    """Least ``(R(D, noise) - sum(rates[D])) / |D|`` over non-empty D of ``signal``.
+
+    R is the clamped ``naive_rate``; an infinite allocation gives -inf.
+    """
+    return min(
+        (naive_rate(model, sub, noise) - sum(float(rates[k]) for k in sub)) / len(sub)
+        for sub in bitmask_subsets(signal, len(signal))
+    )
+
+
+def margin_increments(model: RateModel, table: LayerTable, tx, rhat, tau) -> np.ndarray:
+    """Scalar margin-greedy pass of the rate update for one served user.
+
+    Extracts the set of least ``set_margin`` at each step and records the
+    margin on its layers from the first set holding an own layer on.
+    """
+    remaining = [k for k in range(model.n_layers) if model.gains[k] != 0.0]
+    own = set(np.flatnonzero(table.tx == tx).tolist())
+    extracted: list[int] = []
+    out = np.full(model.n_layers, np.inf)
+    seen_own = False
+    while remaining:
+        subs = bitmask_subsets(remaining, tau)
+        vals = [set_margin(model, sub, extracted, rhat) for sub in subs]
+        c = tie_pick(vals, subs, model.tiebreak)
+        seen_own = seen_own or bool(own & set(subs[c]))
+        if seen_own:
+            out[list(subs[c])] = vals[c]
+        remaining = [k for k in remaining if k not in subs[c]]
+        extracted.extend(subs[c])
+    return out
+
+
+def normalized_distance(order_src, order_dst, model_dst: RateModel) -> float:
+    """Normalized rate loss of reusing one cell's order at another cell.
+
+    The source order's ``rates_for_order`` at the destination, zero on
+    layers the destination cannot detect or the order leaves out, against
+    the destination's own rates.
+    """
+    ref = np.zeros(model_dst.n_layers)
+    ref[list(order_dst.detectable)] = order_dst.rates[list(order_dst.detectable)]
+    mimic = np.zeros(model_dst.n_layers)
+    for k, rate in rates_for_order(model_dst, order_src.groups).items():
+        mimic[k] = rate
+    mimic[model_dst.gains == 0.0] = 0.0
+    norm = float(np.linalg.norm(ref))
+    diff = float(np.linalg.norm(ref - mimic))
+    if norm == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return diff / norm
 
 
 def best_min_rate(model: RateModel, layers, tau, clamp=True) -> float:

@@ -25,7 +25,7 @@ from vlcmap.assoc import (
 from vlcmap.channel import filter_gain_matrix, gain_vector
 from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
-from vlcmap.decmap import _distance_matrix_tau1, build_map, reduce_map
+from vlcmap.decmap import _distance_matrix, build_map, reduce_map
 from vlcmap.experiments import AssocExperimentConfig, run_assoc_experiment, user_grid
 from vlcmap.rates import achievable_rate, model_at_position
 from vlcmap.sceneio import DEFAULT_BANDS, DEFAULT_FILTERS, reference_scene
@@ -166,7 +166,7 @@ class TestClusteringReproduction:
                 for c in members
             ]
         )
-        dist = _distance_matrix_tau1(orders, gains, table, dmap.noise_var)
+        dist = _distance_matrix(orders, gains, table, dmap.noise_var)
         worst = 0.0
         for cl in clusters:
             rows = [row[c] for c in cl]
@@ -242,7 +242,12 @@ class TestRefinementMonotonicity:
         assert result.sum_rate >= phase_one - 1e-9
         assert result.converged
         assert result.rounds <= 50
-        sums = [phase_one] + result.history
+        # The sum rate after each round: the update stopped after that round.
+        sums = [phase_one] + [
+            iterative_rate_update(assoc, models, table, max_rounds=r).sum_rate
+            for r in range(1, result.rounds + 1)
+        ]
+        assert sums[-1] == result.sum_rate
         increments = np.diff(sums)
         assert np.all(increments >= -1e-9)
 

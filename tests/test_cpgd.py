@@ -1,16 +1,33 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vlcmap.cpgd import (
-    detectable_layers,
-    greedy_order,
-    outage_order,
-    rates_under_fixed_order,
-)
-from vlcmap.rates import RateModel, achievable_rate
+from vlcmap.cpgd import detectable_layers, greedy_order, outage_order
+from vlcmap.decmap import _group_rates
+from vlcmap.rates import RateModel, achievable_rate, model_at_position
+from vlcmap.sceneio import reference_scene
+from vlcmap.signaling import build_layer_set
 
-from oracles import best_min_rate, ordered_partitions, rates_for_order
+from oracles import best_min_rate, greedy_groups, ordered_partitions, rates_for_order
 from test_rates import random_model
+
+
+def fixed_order_rates(model, groups):
+    """Per-layer rates of an imposed order, by the size reduction's ``_group_rates``.
+
+    NaN on layers the order leaves out.
+    """
+    seq = [k for g in groups for k in g]
+    p = model.power[None, seq]
+    later = np.append(np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:], 0.0)[None, :]
+    vals = _group_rates(
+        groups, model.power[None, :], later + model.noise_var,
+        np.log(model.nu2), model.var, model.phi,
+    )
+    out = np.full(model.n_layers, np.nan)
+    out[seq] = vals[0]
+    return out
 
 
 class TestDetectable:
@@ -47,8 +64,12 @@ class TestGreedyOrder:
         for tau in (1, 2):
             model = random_model(rng)
             order = greedy_order(model, tau=tau)
-            recomputed = rates_under_fixed_order(model, order.groups)
-            np.testing.assert_allclose(order.rates, recomputed, rtol=1e-12)
+            recomputed = rates_for_order(model, order.groups)
+            for k, rate in recomputed.items():
+                assert order.rates[k] == pytest.approx(rate, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(
+                order.rates, fixed_order_rates(model, order.groups), rtol=1e-12, atol=1e-15
+            )
 
     def test_matches_exhaustive_max_min(self, rng):
         for tau in (1, 2):
@@ -108,15 +129,46 @@ class TestFixedOrderRates:
     def test_group_members_share_rate(self, rng):
         model = random_model(rng, n_layers=4)
         groups = [(0, 2), (1, 3)]
-        rates = rates_under_fixed_order(model, groups)
+        rates = fixed_order_rates(model, groups)
         assert rates[0] == rates[2]
         assert rates[1] == rates[3]
+        for k, rate in rates_for_order(model, groups).items():
+            assert rates[k] == pytest.approx(rate, rel=1e-12, abs=1e-15)
 
     def test_unlisted_layers_get_zero(self, rng):
         model = random_model(rng, n_layers=5)
-        rates = rates_under_fixed_order(model, [(0,), (3,)])
+        rates = fixed_order_rates(model, [(0,), (3,)])
         assert np.all(np.isnan(rates[[1, 2, 4]]))
         assert np.all(np.isfinite(rates[[0, 3]]))
+
+
+class TestGroupOrders:
+    """Group decoding (tau >= 2) equals the scalar greedy oracle."""
+
+    def test_random_models(self, rng):
+        for tau in (2, 3):
+            for _ in range(10):
+                model = random_model(rng, n_layers=6)
+                order = greedy_order(model, tau=tau)
+                groups, rates = greedy_groups(model, tau)
+                assert order.groups == groups
+                np.testing.assert_allclose(order.rates, rates, rtol=1e-12, atol=1e-15)
+
+    def test_scene_cells_with_exact_ties(self):
+        # Positions on the array's mirror lines see exactly tied candidate
+        # sets; both implementations resolve them by the same keys.
+        scene = reference_scene(4, 4, colors_per_position=(0,))
+        table = build_layer_set(scene, 1)
+        z = scene.plane.height
+        by_keys = 0
+        for x, y in [(0.0, 0.0), (0.1, 0.1), (0.2, 0.2), (-0.1, -0.1), (0.1, -0.1), (0.2, 0.0)]:
+            model = model_at_position(scene, table, (x, y, z), 0)
+            order = greedy_order(model, tau=2)
+            groups, rates = greedy_groups(model, 2)
+            assert order.groups == groups
+            np.testing.assert_allclose(order.rates, rates, rtol=1e-12, atol=1e-15)
+            by_keys += order.groups != greedy_order(replace(model, tiebreak=None), tau=2).groups
+        assert by_keys > 0
 
 
 class TestPartitionOracle:

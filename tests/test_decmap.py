@@ -1,24 +1,36 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
 from vlcmap.decmap import (
     MAP_VERSION,
+    _distance_matrix,
+    _peel_categories,
     build_map,
     load_map,
-    normalized_distance,
     reduce_map,
     save_map,
     scene_fingerprint,
 )
 from vlcmap.errors import ConfigError, InvalidParameterError
-from vlcmap.rates import model_at_position
+from vlcmap.rates import RateModel, model_at_position
 from vlcmap.sceneio import grid_scene, reference_scene
 from vlcmap.signaling import build_layer_set
 
-from oracles import grid_index, layer_permutation, max_average_loss, wedge_relabeled_orders
+from oracles import (
+    greedy_groups,
+    grid_index,
+    layer_permutation,
+    max_average_loss,
+    normalized_distance,
+    wedge_relabeled_orders,
+)
+from test_rates import random_model
 
 TRANSFORMS = ("diagonal", "horizontal", "vertical")
 
@@ -169,6 +181,14 @@ class TestBuildMap:
         with pytest.raises(ConfigError):
             benchmark_map.cell_at(1e3, 0.0)
 
+    def test_cell_lookup_never_snaps(self, benchmark_map):
+        assert benchmark_map.cell_at(0.1 + 1e-10, -1e-10).position[:2] == (
+            pytest.approx(0.1), pytest.approx(0.0)
+        )
+        for x, y in [(0.05, 0.04), (0.1 + 1e-6, 0.0), (0.1, 1e-8)]:
+            with pytest.raises(ConfigError, match="not a sample of the map"):
+                benchmark_map.cell_at(x, y)
+
     def test_edge_cells_are_outage(self, benchmark_map):
         corner = benchmark_map.cell(0, 0)
         center = benchmark_map.cell_at(0.0, 0.0)
@@ -214,9 +234,13 @@ class TestSaveLoad:
             lambda p: p["cells"][0].update(position=[0.0, 0.0]),
             lambda p: p.update(cells=p["cells"][:-1]),
             lambda p: next(c for c in p["cells"] if not c["outage"])["groups"].append([0]),
+            lambda p: p.update(cells=[p["cells"][-1], *p["cells"][1:-1], p["cells"][0]]),
+            lambda p: p["cells"][1].update(iy=0),
+            lambda p: p["cells"][1]["position"].__setitem__(0, 0.0),
+            lambda p: p["cells"][-1]["position"].__setitem__(2, 1.5),
         ],
         ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "null-xs", "short-position",
-             "missing-cell", "layer-id-0"],
+             "missing-cell", "layer-id-0", "swapped-cells", "wrong-iy", "wrong-x", "other-z"],
     )
     def test_rejects_malformed_fields(self, saved, edit):
         path, payload = saved
@@ -243,12 +267,18 @@ class TestFingerprint:
         assert scene_fingerprint(benchmark_scene) != scene_fingerprint(other)
 
 
+def distance_rows(scene, table, dmap, cells):
+    """``_distance_matrix`` over the given map cells, and the cells' models."""
+    models = [model_at_position(scene, table, c.position, dmap.filter_index) for c in cells]
+    gains = np.stack([m.gains for m in models])
+    return _distance_matrix([c.order for c in cells], gains, table, dmap.noise_var), models
+
+
 class TestNormalizedDistance:
     def test_self_distance_zero(self, benchmark_scene, benchmark_table, benchmark_map):
         cell = benchmark_map.cell_at(0.3, 0.1)
-        model = model_at_position(
-            benchmark_scene, benchmark_table, cell.position, 0
-        )
+        dist, (model,) = distance_rows(benchmark_scene, benchmark_table, benchmark_map, [cell])
+        assert dist[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert normalized_distance(cell.order, cell.order, model) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -258,9 +288,10 @@ class TestNormalizedDistance:
     ):
         a = benchmark_map.cell_at(0.3, 0.1)
         b = benchmark_map.cell_at(-0.3, 0.1)
-        model_b = model_at_position(benchmark_scene, benchmark_table, b.position, 0)
-        d = normalized_distance(a.order, b.order, model_b)
+        dist, (_, model_b) = distance_rows(benchmark_scene, benchmark_table, benchmark_map, [a, b])
+        d = dist[0, 1]
         assert 0.0 <= d  # well defined between non-outage cells
+        assert d == pytest.approx(normalized_distance(a.order, b.order, model_b), rel=1e-12)
 
 
 class TestReduceMap:
@@ -284,12 +315,86 @@ class TestReduceMap:
         dmap = build_map(pair_scene, table, 0)
         clusters = reduce_map(dmap, pair_scene, table, tau_loss=0.1)
 
+        models = {}
+
         def dist(i, j):
-            model = model_at_position(
-                pair_scene, table, dmap.cells[j].position, dmap.filter_index
-            )
-            return normalized_distance(
-                dmap.cells[i].order, dmap.cells[j].order, model
-            )
+            if j not in models:
+                models[j] = model_at_position(
+                    pair_scene, table, dmap.cells[j].position, dmap.filter_index
+                )
+            return normalized_distance(dmap.cells[i].order, dmap.cells[j].order, models[j])
 
         assert max_average_loss(clusters, dist) <= 0.1 + 1e-12
+
+
+SMALL_SCENE_YAML = """\
+transmitters:
+  grid: {rows: 1, cols: 2, spacing: 0.6}
+  colors_per_position: [0, 1, 2, 3]
+  layers_per_transmitter: 2
+optics: {lambertian_order: 1.0, pd_area: 1.0e-4, refractive_index: 1.5, fov_deg: 30.0}
+plane: {height: 2.0, margin: 1.0, sample_gap: 0.4}
+"""
+
+
+class TestGroupDecodingMap:
+    """Map build and size reduction at group size bound 2 equal the scalar oracles."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tau2")
+        (out / "scene.yaml").write_text(SMALL_SCENE_YAML)
+        res = CliRunner().invoke(main, [
+            "map", "build", "--scene", str(out / "scene.yaml"), "--tau", "2",
+            "--out", str(out / "map"),
+        ])
+        assert res.exit_code == 0, res.output
+        scene = reference_scene(1, 2, spacing_x=0.6, spacing_y=0.6, sample_gap=0.4)
+        dmap = load_map(out / "map" / "map.json")
+        assert dmap.scene_hash == scene_fingerprint(scene) and dmap.tau == 2
+        return scene, build_layer_set(scene, 2), dmap
+
+    def test_cells_equal_the_scalar_greedy(self, built):
+        scene, table, dmap = built
+        grouped = 0
+        for cell in dmap.cells:
+            model = model_at_position(scene, table, cell.position, dmap.filter_index)
+            groups, rates = greedy_groups(model, 2)
+            assert cell.order.groups == groups
+            if groups:
+                np.testing.assert_allclose(cell.order.rates, rates, rtol=1e-12, atol=1e-15)
+            grouped += any(len(g) == 2 for g in groups)
+        assert grouped > 0
+
+    def test_clusters_equal_those_of_the_oracle_distance(self, built):
+        scene, table, dmap = built
+        active = [c for c in dmap.cells if not c.order.outage]
+        dist, models = distance_rows(scene, table, dmap, active)
+        oracle = np.array([
+            [normalized_distance(a.order, b.order, m) for b, m in zip(active, models)]
+            for a in active
+        ])
+        # Distances are normalized; a self-distance is 0 or a few ulps.
+        np.testing.assert_allclose(dist, oracle, rtol=1e-12, atol=1e-13)
+        clusters = _peel_categories(oracle, *dmap.thresholds)
+        assert len(clusters) == dmap.cluster_count > 1
+        labels = np.empty(len(active), dtype=int)
+        for label, members in enumerate(clusters):
+            labels[members] = label
+        assert labels.tolist() == [c.cluster for c in active]
+
+    def test_random_distance_rows(self, rng):
+        # Destinations with random gains over one random layer set.
+        base = random_model(rng, n_layers=6)
+        table = SimpleNamespace(n_layers=6, nu=np.sqrt(base.nu2), var=base.var, phi=base.phi)
+        gains = rng.uniform(0.0, 1e-4, (8, 6))
+        gains[gains < 2e-5] = 0.0
+        models = [RateModel(g, base.nu2, base.var, base.phi, base.noise_var) for g in gains]
+        orders = [greedy_order(m, tau=2) for m in models]
+        keep = [r for r, o in enumerate(orders) if not o.outage]
+        assert sum(len(g) == 2 for r in keep for g in orders[r].groups) > 0
+        dist = _distance_matrix([orders[r] for r in keep], gains[keep], table, base.noise_var)
+        for a, i in enumerate(keep):
+            for b, j in enumerate(keep):
+                want = normalized_distance(orders[i], orders[j], models[j])
+                assert dist[a, b] == pytest.approx(want, rel=1e-12, abs=1e-13)

@@ -204,6 +204,21 @@ class TestCli:
         assert res.exit_code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
+        "at, code", [(("0.05", "0.04"), EXIT_CONFIG), (("0.1", "0.0"), 0)],
+        ids=["between-samples", "on-a-sample"],
+    )
+    def test_inspect_at_never_snaps(self, benchmark_map, tmp_path, at, code):
+        path = tmp_path / "map.json"
+        save_map(benchmark_map, path)
+        res = self.runner.invoke(main, ["map", "inspect", "--map", str(path), "--at", *at])
+        assert res.exit_code == code, res.output
+        if code == 0:
+            assert json.loads(res.output)["position"][:2] == [0.1, 0.0]
+        else:
+            assert "not a sample of the map" in res.output
+            assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize(
         "edit", [lambda p: p.update(version=1), lambda p: p.pop("n_layers")],
         ids=["version-1", "no-n_layers"],
     )

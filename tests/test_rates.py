@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from vlcmap.errors import InvalidParameterError
 from vlcmap.rates import (
     RateModel,
+    _candidate_sets,
+    _candidates,
+    _set_margins,
+    _set_rates,
     achievable_rate,
     model_at,
     model_at_position,
-    rate_margin,
     subsets_in_bitmask_order,
 )
 
-from oracles import covariance_rate, gaussian_surrogate, naive_rate
+from oracles import covariance_rate, gaussian_surrogate, naive_rate, set_margin
 
 
 def random_model(rng, n_layers=6, noise_var=1e-10):
@@ -126,6 +129,60 @@ class TestSubsetOrder:
         assert all(len(s) == 1 for s in subsets_in_bitmask_order([4, 7, 9], 1))
 
 
+def margins_of(model, universe, tau, noise, rates):
+    """Every candidate set of ``universe`` and its margin, by ``_set_margins``."""
+    cands = _candidate_sets(model, universe, tau)
+    alloc = np.append(rates, 0.0)[cands.sets].sum(axis=1)
+    base = model.noise_var + float(model.power[list(noise)].sum())
+    return cands.subs, _set_margins(cands, alloc, base)
+
+
+def rate_margin(model, signal, noise, rates):
+    """Margin of one signal set: its row among the candidates of itself."""
+    subs, margins = margins_of(model, signal, len(signal), noise, rates)
+    return float(margins[subs.index(tuple(sorted(signal)))])
+
+
+class TestSetRates:
+    """``_set_rates`` scores many candidate sets in one pass."""
+
+    def test_matches_achievable_rate(self, rng):
+        for tau in (1, 2, 3):
+            model = random_model(rng)
+            noise = [int(k) for k in rng.choice(6, size=2, replace=False)]
+            universe = [k for k in range(6) if k not in noise]
+            cands = _candidate_sets(model, universe, tau)
+            base = model.noise_var + float(model.power[noise].sum())
+            got = _set_rates(*cands.ops, base)
+            for sub, rate in zip(cands.subs, got):
+                assert rate == pytest.approx(
+                    achievable_rate(model, sub, noise, clamp=False), rel=1e-12, abs=1e-15
+                )
+                assert rate == pytest.approx(
+                    naive_rate(model, sub, noise, clamp=False), rel=1e-12, abs=1e-15
+                )
+
+    def test_singletons_are_the_stage_rate(self, rng):
+        model = random_model(rng)
+        cands = _candidate_sets(model, range(6), 1)
+        assert cands.sets.shape == (6, 1) and cands.subsets is None
+        stage = [achievable_rate(model, [k], [], clamp=False) for k in range(6)]
+        np.testing.assert_allclose(_set_rates(*cands.ops, model.noise_var), stage, rtol=1e-12)
+
+    def test_per_receiver_power_and_base(self, rng):
+        # A leading receiver axis on the power and the base: one row each.
+        model = random_model(rng)
+        gains = rng.uniform(0.0, 1e-4, (3, 6))
+        subs = subsets_in_bitmask_order(range(6), 2)
+        cands = _candidates(subs, np.log(model.nu2), model.var, model.phi, gains**2 * model.var)
+        base = model.noise_var + np.array([[0.0], [1e-10], [2e-10]])
+        got = _set_rates(*cands.ops, np.broadcast_to(base, (3, len(subs))))
+        for r in range(3):
+            m = RateModel(gains[r], model.nu2, model.var, model.phi, float(base[r, 0]))
+            want = [achievable_rate(m, sub, clamp=False) for sub in subs]
+            np.testing.assert_allclose(got[r], want, rtol=1e-12)
+
+
 class TestRateMargin:
     def test_zero_rates_give_per_layer_average(self, rng):
         model = random_model(rng)
@@ -148,6 +205,18 @@ class TestRateMargin:
         rates = np.zeros(6)
         rates[1] = np.inf
         assert rate_margin(model, [0, 1], [], rates) == -np.inf
+
+    def test_every_candidate_matches_the_oracle(self, rng):
+        for tau in (1, 2, 3):
+            model = random_model(rng)
+            rates = rng.uniform(0.0, 0.3, 6)
+            noise = [int(rng.integers(6))]
+            universe = [k for k in range(6) if k not in noise]
+            subs, margins = margins_of(model, universe, tau, noise, rates)
+            for sub, margin in zip(subs, margins):
+                assert margin == pytest.approx(
+                    set_margin(model, sub, noise, rates), rel=1e-12, abs=1e-15
+                )
 
 
 class TestModelBuilders:
