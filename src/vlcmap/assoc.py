@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .cpgd import DecodingOrder, _extract, greedy_order
+from .cpgd import DecodingOrder, _extract, detectable_layers, greedy_order
 from .decmap import SAMPLE_TOL, DecodingMap
 from .errors import ConfigError, InfeasibleError, InvalidParameterError
 from .rates import RateModel, _candidate_sets, _set_margins, model_at_position
@@ -62,17 +63,18 @@ class DirectSolver:
         key = tuple(float(p) for p in position)
         if key not in self._cache:
             model = model_at_position(self.scene, self.table, position, self.filter_index)
-            self._cache[key] = greedy_order(model, tau=self.tau, position=key)
+            self._cache[key] = greedy_order(model, tau=self.tau)
         return self._cache[key]
 
 
 # ---------------------------------------------------------------------------
 # Truncation and the global rate fold
 
+# Relative tolerance under which a following stage's rate ties the user's own.
+_DEPTH_RTOL = 1e-9
 
-def truncate_depth(
-    order: DecodingOrder, table: LayerTable, tx: int, rtol: float = 1e-9
-) -> int:
+
+def truncate_depth(order: DecodingOrder, table: LayerTable, tx: int) -> int:
     """Last decoding stage (0-based) the user decodes for the given transmitter.
 
     The base depth is the last stage containing one of the transmitter's
@@ -89,7 +91,7 @@ def truncate_depth(
     if depth < 0:
         raise InfeasibleError(f"transmitter {tx} undetectable in this order")
     own_rate = float(order.rates[order.groups[depth][0]])
-    tol = rtol * max(abs(own_rate), 1.0)
+    tol = _DEPTH_RTOL * max(abs(own_rate), 1.0)
     while depth + 1 < len(order.groups):
         nxt = float(order.rates[order.groups[depth + 1][0]])
         if abs(nxt - own_rate) > tol:
@@ -131,32 +133,33 @@ def assigned_sum_rate(rbar: np.ndarray, table: LayerTable, assignment) -> float:
 
 @dataclass
 class GAConfig:
+    """The GA's sizes and seed; its operators are fixed class constants."""
+
     population: int = 64
     generations: int = 200
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.05
-    elitism: int = 2
+    seed: int = 0
+    crossover_rate: ClassVar[float] = 0.8
+    mutation_rate: ClassVar[float] = 0.05
+    elitism: ClassVar[int] = 2
     # Fresh random genomes injected per generation; keeps the population from
     # fixating on a local optimum of the fold-coupled objective.
-    immigrants: int = 4
+    immigrants: ClassVar[int] = 4
     # Independent GA runs; the best final answer wins.  Restarts tame the
     # run-to-run variance of the search on large candidate spaces.
-    restarts: int = 3
-    seed: int = 0
+    restarts: ClassVar[int] = 3
     # When the number of candidate choice combinations is at most this, the
     # GA answer is cross-checked against brute force and the better one wins.
-    exhaustive_limit: int = 5000
+    exhaustive_limit: ClassVar[int] = 5000
 
     def validate(self) -> None:
-        if self.population < 2 or self.generations < 1 or self.elitism < 0:
-            raise InvalidParameterError("bad GA sizes")
-        if self.immigrants < 0 or self.elitism + self.immigrants > self.population:
-            raise InvalidParameterError("elitism + immigrants exceed the population")
-        if self.restarts < 1:
-            raise InvalidParameterError("need at least one GA run")
-        for r in (self.crossover_rate, self.mutation_rate):
-            if not 0.0 <= r <= 1.0:
-                raise InvalidParameterError("GA rates must be in [0, 1]")
+        least = self.elitism + self.immigrants
+        if self.population < least:
+            raise InvalidParameterError(
+                f"GA population {self.population} is below {least}, the elite and "
+                "immigrant genomes of each generation"
+            )
+        if self.generations < 1:
+            raise InvalidParameterError("need at least one GA generation")
 
 
 @dataclass
@@ -197,7 +200,7 @@ class _AssignmentProblem:
         self.candidates: list[list[int]] = []
         local: list[list[np.ndarray]] = []
         for order in self.orders:
-            txs = [] if order.outage else sorted({int(table.tx[k]) for k in order.detectable})
+            txs = sorted({int(table.tx[k]) for k in order.detectable})
             self.candidates.append(txs)
             local.append([local_rate_vector(order, table, tx) for tx in txs])
         self.active = [j for j, c in enumerate(self.candidates) if c]
@@ -388,33 +391,33 @@ class RateUpdateResult:
     sum_rate: float
 
 
-def _margin_greedy_user(
-    model: RateModel,
-    table: LayerTable,
-    tx: int,
-    rhat: np.ndarray,
-    tau: int,
-) -> np.ndarray:
-    """One user's extraction pass of the iterative update.
+def _margin_greedy_user(model: RateModel, table: LayerTable, tx: int, tau: int):
+    """One user's extraction pass of the iterative update, as a function of ``rhat``.
 
-    Returns the per-layer recorded increments (+inf where not recorded).
-    Each stage extracts the candidate set of smallest margin
-    (:func:`_set_margins`) against the accumulated rates, with everything
-    extracted before it as noise; increments are recorded once a layer of
-    the user's own transmitter has been extracted.
+    The returned function maps the accumulated rates to the per-layer
+    recorded increments (+inf where not recorded).  Each stage extracts the
+    candidate set of smallest margin (:func:`_set_margins`) against the
+    accumulated rates, with everything extracted before it as noise;
+    increments are recorded once a layer of the user's own transmitter has
+    been extracted.  The candidate sets do not depend on the rates, so they
+    are built once here and each call only gathers their allocations.
     """
-    detectable = [int(k) for k in np.flatnonzero(model.gains != 0.0)]
+    detectable = detectable_layers(model)
     own = set(int(k) for k in np.flatnonzero(table.tx == tx))
     if own.isdisjoint(detectable):
         raise InfeasibleError(f"assigned transmitter {tx} undetectable")
     cands = _candidate_sets(model, detectable, tau)
-    alloc = np.append(rhat, 0.0)[cands.sets].sum(axis=1)
-    increments = np.full(table.n_layers, np.inf)
-    seen_own = False
-    for best, margin in _extract(model, cands, lambda base: _set_margins(cands, alloc, base)):
-        seen_own = seen_own or not own.isdisjoint(best)
-        if seen_own:
-            increments[list(best)] = margin
+
+    def increments(rhat: np.ndarray) -> np.ndarray:
+        alloc = np.append(rhat, 0.0)[cands.sets].sum(axis=1)
+        out = np.full(table.n_layers, np.inf)
+        seen_own = False
+        for best, margin in _extract(model, cands, lambda base: _set_margins(cands, alloc, base)):
+            seen_own = seen_own or not own.isdisjoint(best)
+            if seen_own:
+                out[list(best)] = margin
+        return out
+
     return increments
 
 
@@ -423,7 +426,6 @@ def iterative_rate_update(
     user_models: list[RateModel | None],
     table: LayerTable,
     tau: int = 1,
-    eps: float = 1e-6,
     max_rounds: int = 50,
 ) -> RateUpdateResult:
     """Refine the global rates by repeated per-user margin redistribution.
@@ -431,22 +433,22 @@ def iterative_rate_update(
     Per round every served user rebuilds its order greedily on the
     accumulated rates; the elementwise minimum of the recorded increments is
     added to the global vector until the largest increment falls below
-    ``eps`` (or ``max_rounds`` is hit, flagged as non-converged).
+    1e-6 (or ``max_rounds`` is hit, flagged as non-converged).
     """
     rhat = association.rbar.copy()
-    served = [j for j, tx in enumerate(association.assignment) if tx >= 0]
+    passes = [
+        _margin_greedy_user(user_models[j], table, int(tx), tau)
+        for j, tx in enumerate(association.assignment)
+        if tx >= 0
+    ]
     rounds = 0
     converged = False
     while rounds < max_rounds:
         rounds += 1
-        all_inc = [
-            _margin_greedy_user(user_models[j], table, int(association.assignment[j]), rhat, tau)
-            for j in served
-        ]
-        fold = np.min(np.stack(all_inc), axis=0)
+        fold = np.min(np.stack([increments(rhat) for increments in passes]), axis=0)
         finite = np.isfinite(fold)
         rhat[finite] = rhat[finite] + fold[finite]
-        if not finite.any() or np.max(np.abs(fold[finite])) < eps:
+        if not finite.any() or np.max(np.abs(fold[finite])) < 1e-6:
             converged = True
             break
     return RateUpdateResult(

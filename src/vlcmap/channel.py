@@ -63,15 +63,14 @@ def derive_spectrum(band: ColorBand) -> ColorBand:
 
 
 def filter_gain_matrix(
-    bands: list[ColorBand],
-    filters: list[tuple[float, float]],
-    floor: float = NEGLIGIBLE_FILTER_GAIN,
+    bands: list[ColorBand], filters: list[tuple[float, float]]
 ) -> np.ndarray:
     """Power ratio of each color's spectrum through each filter passband.
 
     Entry [p, q] integrates color p's Gaussian spectrum over filter q's
-    passband (a CDF difference).  Entries below ``floor`` are zeroed so that
-    negligible cross-color leakage yields exactly undetectable layers.
+    passband (a CDF difference).  Entries below ``NEGLIGIBLE_FILTER_GAIN``
+    are zeroed so that negligible cross-color leakage yields exactly
+    undetectable layers.
     """
     out = np.empty((len(bands), len(filters)))
     for p, band in enumerate(bands):
@@ -83,7 +82,7 @@ def filter_gain_matrix(
             out[p, q] = ndtr((hi - band.mean_nm) / band.std_nm) - ndtr(
                 (lo - band.mean_nm) / band.std_nm
             )
-    out[out < floor] = 0.0
+    out[out < NEGLIGIBLE_FILTER_GAIN] = 0.0
     return out
 
 

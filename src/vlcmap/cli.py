@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from .assoc import GAConfig
-from .decmap import load_map, reduce_map, save_map, scene_fingerprint
+from .decmap import _order_payload, load_map, reduce_map, save_map, scene_fingerprint
 from .errors import ConfigError, InfeasibleError, VlcError
 from .experiments import (
     AssocExperimentConfig,
@@ -61,8 +61,6 @@ def _fail(code: int, message: str) -> None:
 def _run(fn):
     try:
         fn()
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
     except InfeasibleError as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
     except VlcError as exc:
@@ -152,11 +150,7 @@ def map_inspect(map_path, at) -> None:
                 "outage": cell.order.outage,
                 "cluster": cell.cluster,
             }
-            if not cell.order.outage:
-                info["groups"] = [[k + 1 for k in g] for g in cell.order.groups]
-                info["rates"] = [
-                    float(cell.order.rates[k]) for g in cell.order.groups for k in g
-                ]
+            info.update(_order_payload(cell.order))
             click.echo(json.dumps(info, indent=2))
             return
         click.echo(json.dumps({

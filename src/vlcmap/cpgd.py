@@ -16,7 +16,6 @@ import numpy as np
 from .errors import InvalidParameterError
 from .rates import RateModel, _Candidates, _candidate_sets, _set_rates, _stage_rates
 
-DEFAULT_GROUP_SIZE = 1
 # Relative tolerance under which two selection values count as an exact tie.
 TIE_RTOL = 1e-12
 
@@ -45,24 +44,24 @@ class DecodingOrder:
 
     ``groups[m]`` is decoded at stage m (earlier groups first), all layers in
     a group share one rate.  ``rates`` is indexed by layer id, NaN outside the
-    detectable set.  ``outage`` marks positions with no detectable layer.
+    detectable set.  A position with no detectable layer has no groups.
     """
 
     groups: list[tuple[int, ...]]
     rates: np.ndarray
-    detectable: tuple[int, ...]
-    position: tuple[float, ...] | None = None
-    outage: bool = False
+
+    @property
+    def detectable(self) -> tuple[int, ...]:
+        """The layers the groups partition, ascending."""
+        return tuple(sorted(k for grp in self.groups for k in grp))
+
+    @property
+    def outage(self) -> bool:
+        return not self.groups
 
 
-def outage_order(n_layers: int, position=None) -> DecodingOrder:
-    return DecodingOrder(
-        groups=[],
-        rates=np.full(n_layers, np.nan),
-        detectable=(),
-        position=position,
-        outage=True,
-    )
+def outage_order(n_layers: int) -> DecodingOrder:
+    return DecodingOrder(groups=[], rates=np.full(n_layers, np.nan))
 
 
 def detectable_layers(model: RateModel) -> tuple[int, ...]:
@@ -70,11 +69,7 @@ def detectable_layers(model: RateModel) -> tuple[int, ...]:
     return tuple(int(k) for k in np.flatnonzero(model.gains != 0.0))
 
 
-def greedy_order(
-    model: RateModel,
-    tau: int = DEFAULT_GROUP_SIZE,
-    position=None,
-) -> DecodingOrder:
+def greedy_order(model: RateModel, tau: int = 1) -> DecodingOrder:
     """Max-min greedy decoding order over the detectable layers.
 
     At each step the candidate set V minimizing R(V, extracted)/|V| over
@@ -89,9 +84,9 @@ def greedy_order(
         raise InvalidParameterError("group size bound must be >= 1")
     universe = detectable_layers(model)
     if not universe:
-        return outage_order(model.n_layers, position)
+        return outage_order(model.n_layers)
     if tau == 1:
-        return _greedy_singletons(model, universe, position)
+        return _greedy_singletons(model, universe)
     # Every stage scores all candidate sets in one array pass.
     cands = _candidate_sets(model, universe, tau)
     rates = np.full(model.n_layers, np.nan)
@@ -100,12 +95,10 @@ def greedy_order(
     for best, val in stages:
         taken.append(best)
         rates[list(best)] = max(val, 0.0)
-    return DecodingOrder(list(reversed(taken)), rates, universe, position)
+    return DecodingOrder(list(reversed(taken)), rates)
 
 
-def _greedy_singletons(
-    model: RateModel, universe: tuple[int, ...], position
-) -> DecodingOrder:
+def _greedy_singletons(model: RateModel, universe: tuple[int, ...]) -> DecodingOrder:
     """Vectorized greedy pass for group size one."""
     idx = np.asarray(universe, dtype=int)
     pw = model.power[idx]
@@ -127,12 +120,7 @@ def _greedy_singletons(
         rates[k] = max(float(vals[j]), 0.0)
         alive[j] = False
         base += float(pw[j])
-    return DecodingOrder(
-        groups=list(reversed(taken)),
-        rates=rates,
-        detectable=universe,
-        position=position,
-    )
+    return DecodingOrder(list(reversed(taken)), rates)
 
 
 def _extract(model: RateModel, cands: _Candidates, score):

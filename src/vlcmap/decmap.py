@@ -22,8 +22,7 @@ from .rates import (
     _candidates,
     _set_margins,
     _stage_rates,
-    geometric_tiebreak,
-    model_at,
+    model_at_position,
     subsets_in_bitmask_order,
 )
 from .signaling import LayerTable
@@ -126,24 +125,24 @@ def build_map(
     filter_index: int,
     tau: int = 1,
 ) -> DecodingMap:
-    """Solve the greedy order at every sample position of the receiver plane."""
+    """Solve the greedy order at every sample position of the receiver plane.
+
+    Each cell's model comes from :func:`model_at_position`, as a direct
+    solve's does, so map cells equal direct solves at their positions.
+    """
     xs, ys = scene.plane.grid()
     z = scene.plane.height
-    noise_var = scene.sigma**2
-    # Same tie-break keys model_at_position uses, so map cells agree with
-    # direct per-position recomputation.
-    tiebreak = geometric_tiebreak(scene, table)
     cells: list[MapCell] = []
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
             pos = (float(x), float(y), z)
-            model = model_at(table, gain_vector(scene, pos, filter_index), noise_var, tiebreak)
-            cells.append(MapCell(ix, iy, pos, greedy_order(model, tau=tau, position=pos)))
+            model = model_at_position(scene, table, pos, filter_index)
+            cells.append(MapCell(ix, iy, pos, greedy_order(model, tau=tau)))
     return DecodingMap(
         scene_hash=scene_fingerprint(scene),
         filter_index=filter_index,
         tau=tau,
-        noise_var=noise_var,
+        noise_var=scene.sigma**2,
         xs=xs,
         ys=ys,
         n_layers=table.n_layers,
@@ -378,9 +377,11 @@ def _cell_record(rec, n_layers: int) -> MapCell:
         raise TypeError("cell record is not an object")
     position = tuple(_numbers(rec, "position", 3))
     if _field(rec, "outage", bool):
-        order = outage_order(n_layers, position)
+        order = outage_order(n_layers)
     else:
         raw = _field(rec, "groups", list)
+        if not raw:
+            raise ValueError("a cell out of outage needs decoding groups")
         if not all(type(grp) is list and grp for grp in raw):
             raise TypeError("decoding groups must be non-empty lists")
         ids = [k for grp in raw for k in grp]
@@ -393,9 +394,7 @@ def _cell_record(rec, n_layers: int) -> MapCell:
         values = _numbers(rec, "rates", len(flat))
         rates = np.full(n_layers, np.nan)
         rates[flat] = values
-        order = DecodingOrder(
-            groups=groups, rates=rates, detectable=tuple(sorted(flat)), position=position
-        )
+        order = DecodingOrder(groups, rates)
     return MapCell(
         _field(rec, "ix", int), _field(rec, "iy", int), position, order,
         _field(rec, "cluster", int),

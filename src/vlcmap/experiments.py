@@ -34,7 +34,9 @@ from .rates import model_at_position
 from .signaling import LayerTable, build_layer_set
 
 
-def _write_manifest(outdir: Path, kind: str, params: dict) -> None:
+def _write_manifest(outdir: Path, kind: str, scene: Scene, cfg, **extra) -> None:
+    """``run.json``: the whole config, the scene hash and any ``extra`` inputs."""
+    params = {**asdict(cfg), "scene_hash": scene_fingerprint(scene), **extra}
     payload = {"kind": kind, "params": params}
     with open(outdir / "run.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -83,7 +85,7 @@ def run_map_experiment(
     table.to_csv(outdir / "layers.csv")
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    _write_manifest(outdir, "map", {**asdict(cfg), "scene_hash": dmap.scene_hash})
+    _write_manifest(outdir, "map", scene, cfg)
     return summary
 
 
@@ -98,20 +100,19 @@ class AssocExperimentConfig:
     layers_per_tx: int = 2
     ga: GAConfig = field(default_factory=GAConfig)
     refine: bool = True
-    eps: float = 1e-6
     max_rounds: int = 50
 
 
-def user_grid(anchor, n_x: int = 4, n_y: int = 4, spacing: float = 0.2, plane: str = "xy"):
-    """The rectangular user placement centered on its anchor.
+def user_grid(anchor, n_x: int = 4, n_y: int = 4, plane: str = "xy"):
+    """The rectangular user placement at a 0.2 m pitch, centered on its anchor.
 
     ``plane='xy'`` varies (x, y) at the anchor's z; ``plane='yz'`` varies
     (y, z) at the anchor's x.  Centering makes an anchor on a symmetry axis
     produce an exactly mirror-symmetric placement.
     """
     a0, b0, c0 = (float(v) for v in anchor)
-    off_i = [(i - (n_x - 1) / 2.0) * spacing for i in range(n_x)]
-    off_j = [(j - (n_y - 1) / 2.0) * spacing for j in range(n_y)]
+    off_i = [(i - (n_x - 1) / 2.0) * 0.2 for i in range(n_x)]
+    off_j = [(j - (n_y - 1) / 2.0) * 0.2 for j in range(n_y)]
     out = []
     for di in off_i:
         for dj in off_j:
@@ -154,9 +155,7 @@ def associate(
     rates = assoc.rbar
     if cfg.refine:
         models = [model_at_position(scene, table, p, cfg.filter_index) for p in positions]
-        upd = iterative_rate_update(
-            assoc, models, table, tau=cfg.tau, eps=cfg.eps, max_rounds=cfg.max_rounds
-        )
+        upd = iterative_rate_update(assoc, models, table, tau=cfg.tau, max_rounds=cfg.max_rounds)
         rates = upd.rates
         record.update(sum_rate=upd.sum_rate, rounds=upd.rounds, converged=upd.converged)
     record["user_rates"] = per_user_rates(assoc.assignment, rates, table)
@@ -187,17 +186,7 @@ def run_assoc_experiment(
         with open(outdir / "summary.json", "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
         _write_manifest(
-            outdir,
-            "assoc",
-            {
-                "filter_index": cfg.filter_index,
-                "tau": cfg.tau,
-                "layers_per_tx": cfg.layers_per_tx,
-                "ga": asdict(cfg.ga),
-                "refine": cfg.refine,
-                "scene_hash": scene_fingerprint(scene),
-                "n_users": len(user_positions),
-            },
+            outdir, "assoc", scene, cfg, map_lookup=dmap is not None, n_users=len(user_positions)
         )
     return result
 
@@ -240,7 +229,6 @@ class SweepConfig:
     step: float = 0.1
     fixed: float = 2.0             # z of the xy plane / x of the yz plane
     grid_n: int = 4
-    grid_spacing: float = 0.2
     assoc: AssocExperimentConfig = field(default_factory=AssocExperimentConfig)
 
 
@@ -278,7 +266,7 @@ def run_sweep_experiment(
     for a in _axis(*cfg.a_range, cfg.step):
         for b in _axis(*cfg.b_range, cfg.step):
             anchor = (a, b, cfg.fixed) if cfg.plane == "xy" else (cfg.fixed, a, b)
-            grid = user_grid(anchor, cfg.grid_n, cfg.grid_n, cfg.grid_spacing, cfg.plane)
+            grid = user_grid(anchor, cfg.grid_n, cfg.grid_n, cfg.plane)
             placements.append((float(a), float(b), grid))
     # Look every position up first, so that a map missing one anchor's users
     # fails the sweep before any anchor is solved.
@@ -302,19 +290,5 @@ def run_sweep_experiment(
         csv_rows.append(",".join(repr(r[k]) for k in SWEEP_COLUMNS[:-1]) + f",{converged}")
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("\n".join(csv_rows) + "\n")
-    _write_manifest(
-        outdir,
-        "sweep",
-        {
-            "plane": cfg.plane,
-            "a_range": list(cfg.a_range),
-            "b_range": list(cfg.b_range),
-            "step": cfg.step,
-            "fixed": cfg.fixed,
-            "grid_n": cfg.grid_n,
-            "grid_spacing": cfg.grid_spacing,
-            "ga": asdict(acfg.ga),
-            "scene_hash": scene_fingerprint(scene),
-        },
-    )
+    _write_manifest(outdir, "sweep", scene, cfg, map_lookup=dmap is not None)
     return rows

@@ -57,21 +57,15 @@ def tg_moments(mu: float, nu: float, peak: float) -> TGParams:
     return TGParams(mu=mu, nu=nu, peak=peak, rho=rho, mean=mean, var=var, phi=phi)
 
 
-def calibrate_layer(
-    peak_power: float,
-    avg_power: float,
-    n_layers: int,
-    mu_nu_ratio: float = DEFAULT_MU_NU_RATIO,
-    tol: float = 1e-12,
-) -> TGParams:
+def calibrate_layer(peak_power: float, avg_power: float, n_layers: int) -> TGParams:
     """Pick the TG input of one layer of a transmitter.
 
     The per-layer peak is ``peak_power / n_layers`` and the admissible mean is
     capped at ``min(avg_power, peak_power / 2) / n_layers``.  With mu fixed at
-    ``mu_nu_ratio * nu``, the truncated mean is increasing in nu, so we bind
-    the cap with equality by bisection (larger nu means larger truncated
-    variance, hence larger rate).  If the cap is unreachable the largest nu
-    with mu <= per-layer peak is used instead.
+    ``DEFAULT_MU_NU_RATIO * nu``, the truncated mean is increasing in nu, so
+    we bind the cap with equality by bisection to 1e-12 of the peak (larger
+    nu means larger truncated variance, hence larger rate).  If the cap is
+    unreachable the largest nu with mu <= per-layer peak is used instead.
     """
     if n_layers < 1:
         raise CalibrationError("need at least one layer")
@@ -79,23 +73,23 @@ def calibrate_layer(
     cap = min(avg_power / n_layers, peak / 2.0)
 
     def mean_at(nu: float) -> float:
-        return tg_moments(mu_nu_ratio * nu, nu, peak).mean
+        return tg_moments(DEFAULT_MU_NU_RATIO * nu, nu, peak).mean
 
     lo, hi = 1e-12 * peak, peak
     if mean_at(lo) - cap >= 0.0:
         raise CalibrationError(f"no root bracketed: mean({lo:g}) already above cap {cap:g}")
     if mean_at(hi) - cap < 0.0:
         # Cap not binding anywhere: take the largest nu with mu <= peak.
-        nu = peak / mu_nu_ratio
-        return tg_moments(mu_nu_ratio * nu, nu, peak)
-    while hi - lo > tol * peak:
+        nu = peak / DEFAULT_MU_NU_RATIO
+        return tg_moments(DEFAULT_MU_NU_RATIO * nu, nu, peak)
+    while hi - lo > 1e-12 * peak:
         mid = 0.5 * (lo + hi)
         if mean_at(mid) < cap:
             lo = mid
         else:
             hi = mid
     nu = 0.5 * (lo + hi)
-    return tg_moments(mu_nu_ratio * nu, nu, peak)
+    return tg_moments(DEFAULT_MU_NU_RATIO * nu, nu, peak)
 
 
 @dataclass

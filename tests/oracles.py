@@ -139,9 +139,6 @@ def apply_layer_permutation(order: DecodingOrder, perm: np.ndarray) -> DecodingO
     return DecodingOrder(
         groups=[tuple(sorted(int(perm[k]) for k in grp)) for grp in order.groups],
         rates=rates,
-        detectable=tuple(sorted(int(perm[k]) for k in order.detectable)),
-        position=None,
-        outage=order.outage,
     )
 
 
@@ -187,7 +184,7 @@ def wedge_relabeled_orders(scene: Scene, table: LayerTable, dmap) -> list[Decodi
             continue
         order = dmap.cell((u + nx - 1) // 2, (v + ny - 1) // 2).order
         if order.outage:
-            out.append(outage_order(table.n_layers, cell.position))
+            out.append(outage_order(table.n_layers))
             continue
         for t in reversed(seq):
             order = apply_layer_permutation(order, perms[t])

@@ -197,7 +197,7 @@ class TestClusteringReproduction:
 class TestAssociationBruteForce:
     """7. The GA finds the exhaustive optimum on small instances."""
 
-    def test_fifty_random_layouts(self):
+    def test_fifty_random_layouts(self, monkeypatch):
         t0 = time.monotonic()
         scene = reference_scene(
             2, 2, spacing_x=0.6, spacing_y=0.6, colors_per_position=(0,)
@@ -207,7 +207,8 @@ class TestAssociationBruteForce:
         solver = DirectSolver(scene, table, 0)
         z = scene.plane.height
         rng = np.random.default_rng(7)
-        cfg = GAConfig(population=32, generations=60, exhaustive_limit=0)
+        monkeypatch.setattr(GAConfig, "exhaustive_limit", 0)
+        cfg = GAConfig(population=32, generations=60)
         for trial in range(50):
             users = [
                 np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), z])

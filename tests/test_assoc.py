@@ -28,7 +28,12 @@ from vlcmap.rates import model_at_position
 from vlcmap.sceneio import reference_scene
 from vlcmap.signaling import build_layer_set
 
-from oracles import assignment_evaluate, assignment_repair, margin_increments
+from oracles import (
+    assignment_evaluate,
+    assignment_repair,
+    exhaustive_assignments,
+    margin_increments,
+)
 from test_decmap import SMALL_SCENE_YAML
 from test_rates import random_model
 
@@ -39,13 +44,7 @@ def toy_order(table, groups, rate=0.1):
         for k in grp:
             # Distinct per-stage rates unless a scalar tie is forced.
             rates[k] = rate if np.isscalar(rate) else rate[m]
-    detectable = tuple(sorted(k for g in groups for k in g))
-    return DecodingOrder(
-        groups=[tuple(g) for g in groups],
-        rates=rates,
-        detectable=detectable,
-        position=(0.0, 0.0),
-    )
+    return DecodingOrder(groups=[tuple(g) for g in groups], rates=rates)
 
 
 class TestTruncateDepth:
@@ -126,9 +125,7 @@ class TestAssignedSumRate:
 def corner_problem(corner_scene):
     table = build_layer_set(corner_scene, 2)
     solver = DirectSolver(corner_scene, table, 0)
-    users = user_grid(
-        (0.05, -0.1, corner_scene.plane.height), n_x=2, n_y=2, spacing=0.2
-    )
+    users = user_grid((0.05, -0.1, corner_scene.plane.height), n_x=2, n_y=2)
     return corner_scene, table, solver, users
 
 
@@ -140,9 +137,10 @@ class TestSolveAssociation:
         best_obj, _ = exhaustive_association(problem)
         assert assoc.objective == pytest.approx(best_obj, rel=1e-12)
 
-    def test_seeded_runs_identical(self, corner_problem):
+    def test_seeded_runs_identical(self, corner_problem, monkeypatch):
         scene, table, solver, users = corner_problem
-        cfg = GAConfig(seed=7, exhaustive_limit=0)  # force pure GA result
+        monkeypatch.setattr(GAConfig, "exhaustive_limit", 0)  # force pure GA result
+        cfg = GAConfig(seed=7)
         a = solve_association(solver, users, table, cfg)
         b = solve_association(solver, users, table, cfg)
         np.testing.assert_array_equal(a.assignment, b.assignment)
@@ -251,6 +249,30 @@ class TestProblemMatchesOracles:
         assert fast.rbar.tobytes() == slow.rbar.tobytes()
 
 
+class TestExhaustiveAssociation:
+    """Brute force equals the best injective assignment its oracle enumerates."""
+
+    def test_random_instances(self, rng):
+        scene = reference_scene(2, 2, spacing_x=0.6, spacing_y=0.6, colors_per_position=(0,))
+        table = build_layer_set(scene, 2)
+        solver = DirectSolver(scene, table, 0)
+        z = scene.plane.height
+        for _ in range(20):
+            n_users = int(rng.integers(2, 6))
+            users = [(float(x), float(y), z) for x, y in rng.uniform(-0.6, 0.6, (n_users, 2))]
+            problem = _AssignmentProblem(solver, table, users)
+            best, choice = exhaustive_association(problem)
+            candidates = {j: problem.candidates[j] for j in problem.active}
+            values = [
+                assignment_evaluate(
+                    problem, {j: problem.candidates[j].index(tx) for j, tx in txs.items()}
+                )[0]
+                for txs in exhaustive_assignments(candidates)
+            ]
+            assert best == max(values)
+            assert assignment_evaluate(problem, choice)[0] == best
+
+
 class TestIterativeRateUpdate:
     def _setup(self, corner_problem, seed=0):
         scene, table, solver, users = corner_problem
@@ -304,12 +326,15 @@ class TestMarginGreedy:
             if trial % 3 == 0:
                 rhat[int(rng.integers(6))] = np.inf  # a layer nobody binds
             tx = int(rng.integers(3))
-            got = _margin_greedy_user(model, table, tx, rhat, tau)
-            want = margin_increments(model, table, tx, rhat, tau)
-            np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-            np.testing.assert_array_equal(np.sign(got), np.sign(want))
-            finite = np.isfinite(want)
-            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-15)
+            increments = _margin_greedy_user(model, table, tx, tau)
+            # One pass serves every round: the second call sees grown rates.
+            for rates in (rhat, rhat + rng.uniform(0.0, 0.05, 6)):
+                got = increments(rates)
+                want = margin_increments(model, table, tx, rates, tau)
+                np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+                np.testing.assert_array_equal(np.sign(got), np.sign(want))
+                finite = np.isfinite(want)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize(
         "colors, layers, at, tau",
@@ -322,7 +347,7 @@ class TestMarginGreedy:
         table = build_layer_set(scene, layers)
         model = model_at_position(scene, table, (*at, scene.plane.height), 0)
         rhat = np.zeros(table.n_layers)
-        got = _margin_greedy_user(model, table, 0, rhat, tau)
+        got = _margin_greedy_user(model, table, 0, tau)(rhat)
         want = margin_increments(model, table, 0, rhat, tau)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 

@@ -44,7 +44,7 @@ class TestDetectable:
 
 class TestOutage:
     def test_outage_order_shape(self):
-        order = outage_order(5, position=(0.0, 0.0))
+        order = outage_order(5)
         assert order.outage
         assert order.groups == []
         assert np.all(np.isnan(order.rates))

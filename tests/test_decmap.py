@@ -234,13 +234,15 @@ class TestSaveLoad:
             lambda p: p["cells"][0].update(position=[0.0, 0.0]),
             lambda p: p.update(cells=p["cells"][:-1]),
             lambda p: next(c for c in p["cells"] if not c["outage"])["groups"].append([0]),
+            lambda p: next(c for c in p["cells"] if not c["outage"]).update(groups=[], rates=[]),
             lambda p: p.update(cells=[p["cells"][-1], *p["cells"][1:-1], p["cells"][0]]),
             lambda p: p["cells"][1].update(iy=0),
             lambda p: p["cells"][1]["position"].__setitem__(0, 0.0),
             lambda p: p["cells"][-1]["position"].__setitem__(2, 1.5),
         ],
         ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "null-xs", "short-position",
-             "missing-cell", "layer-id-0", "swapped-cells", "wrong-iy", "wrong-x", "other-z"],
+             "missing-cell", "layer-id-0", "lit-no-groups", "swapped-cells", "wrong-iy",
+             "wrong-x", "other-z"],
     )
     def test_rejects_malformed_fields(self, saved, edit):
         path, payload = saved

@@ -20,12 +20,14 @@ from vlcmap.experiments import (
 )
 from vlcmap.signaling import build_layer_set
 
+from test_decmap import SMALL_SCENE_YAML
+
 SMALL_GA = GAConfig(population=16, generations=30, seed=0)
 
 
 class TestUserGrid:
     def test_centered_on_anchor(self):
-        users = user_grid((0.0, 0.0, 2.0), n_x=4, n_y=4, spacing=0.2)
+        users = user_grid((0.0, 0.0, 2.0), n_x=4, n_y=4)
         arr = np.array(users)
         assert len(users) == 16
         np.testing.assert_allclose(arr.mean(axis=0), [0.0, 0.0, 2.0], atol=1e-12)
@@ -34,7 +36,7 @@ class TestUserGrid:
         np.testing.assert_allclose(xs, [-0.3, -0.1, 0.1, 0.3], atol=1e-15)
 
     def test_yz_plane_orientation(self):
-        users = user_grid((1.0, 0.5, 1.5), n_x=2, n_y=2, spacing=0.2, plane="yz")
+        users = user_grid((1.0, 0.5, 1.5), n_x=2, n_y=2, plane="yz")
         arr = np.array(users)
         assert np.all(arr[:, 0] == 1.0)
         assert set(np.round(arr[:, 1], 10)) == {0.4, 0.6}
@@ -56,9 +58,7 @@ class TestRunMapExperiment:
 
 class TestRunAssocExperiment:
     def test_refined_not_worse(self, corner_scene, tmp_path):
-        users = user_grid(
-            (0.0, 0.1, corner_scene.plane.height), n_x=2, n_y=2, spacing=0.2
-        )
+        users = user_grid((0.0, 0.1, corner_scene.plane.height), n_x=2, n_y=2)
         cfg = AssocExperimentConfig(ga=SMALL_GA)
         result = run_assoc_experiment(corner_scene, users, cfg, outdir=tmp_path)
         assert result["sum_rate"] >= result["sum_rate_assoc"] - 1e-9
@@ -67,9 +67,7 @@ class TestRunAssocExperiment:
         assert (tmp_path / "association.csv").exists()
 
     def test_no_refine_keeps_fold_rates(self, corner_scene):
-        users = user_grid(
-            (0.0, 0.1, corner_scene.plane.height), n_x=2, n_y=2, spacing=0.2
-        )
+        users = user_grid((0.0, 0.1, corner_scene.plane.height), n_x=2, n_y=2)
         cfg = AssocExperimentConfig(ga=SMALL_GA, refine=False)
         result = run_assoc_experiment(corner_scene, users, cfg)
         assert result["sum_rate"] == result["sum_rate_assoc"]
@@ -326,6 +324,43 @@ class TestCli:
     def test_assoc_solve_needs_positions(self):
         res = self.runner.invoke(main, ["assoc", "solve"])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "option", [["--population", "5"], ["--generations", "0"]],
+        ids=["population-5", "generations-0"],
+    )
+    def test_assoc_solve_bad_ga_sizes_are_config_errors(self, option):
+        res = self.runner.invoke(main, ["assoc", "solve", "--anchor", "0.0", "0.0", *option])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "run", "--a-range", "0.0", "0.0", "--b-range", "0.2", "0.2"],
+            ["assoc", "solve", "--anchor", "0.0", "0.2"],
+        ],
+        ids=["sweep-run", "assoc-solve"],
+    )
+    def test_run_json_records_the_whole_config(self, tmp_path, command):
+        # Two runs that differ only in --tau must say so in their manifests.
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(SMALL_SCENE_YAML)
+        manifests = []
+        for tau in (1, 2):
+            out = tmp_path / f"tau{tau}"
+            res = self.runner.invoke(main, command + [
+                "--scene", str(scene), "--tau", str(tau), "--population", "16",
+                "--generations", "5", "--out", str(out),
+            ])
+            assert res.exit_code == 0, res.output
+            manifests.append((out / "run.json").read_bytes())
+        assert manifests[0] != manifests[1]
+        for tau, raw in zip((1, 2), manifests):
+            params = json.loads(raw)["params"]
+            assoc = params["assoc"] if command[0] == "sweep" else params
+            assert (assoc["tau"], assoc["max_rounds"], assoc["ga"]["population"]) == (tau, 50, 16)
+            assert params["map_lookup"] is False
 
     def test_sweep_run_non_convergence_exits_4(self, tmp_path, monkeypatch):
         refine = experiments.iterative_rate_update
