@@ -154,22 +154,36 @@ def build_map(
 # Normalized distance and size reduction
 
 
+def _order_ids(orders: list[DecodingOrder]) -> tuple[np.ndarray, list[tuple]]:
+    """Each order's id among the distinct group sequences, and the sequences.
+
+    Sequences are numbered in order of first appearance.
+    """
+    ids: dict[tuple, int] = {}
+    order_id = np.array([ids.setdefault(tuple(o.groups), len(ids)) for o in orders])
+    return order_id, list(ids)
+
+
 def _distance_matrix(
+    sequences: list[tuple],
     orders: list[DecodingOrder],
     layer_gains: np.ndarray,
     table: LayerTable,
     noise_var: float,
 ) -> np.ndarray:
-    """d[i, j] = normalized rate loss of using cell i's order at cell j.
+    """d[s, j] = normalized rate loss of decoding cell j with group sequence s.
 
-    Vectorized over destinations: one pass per source order evaluates its
-    stage sequence against every cell's gains at once.  Each stage's group
-    gets its rate margin at the destination, the least clamped per-layer
-    rate over the group's non-empty subsets with the later groups as noise.
-    Both rate vectors span all layers: layers undetectable at the
-    destination get zero rate, and destination layers the source order
-    never decodes stay zero in the mimicking vector, so the distance is
-    finite even when the two cells detect different layer sets.
+    The loss of using cell i's order at cell j depends on cell i only
+    through its decoding groups, so cells that share a sequence share a
+    row: cell i's row is ``d[order_id[i]]`` (:func:`_order_ids`).
+    Vectorized over destinations: one pass per sequence evaluates its
+    stages against every cell's gains at once.  Each stage's group gets its
+    rate margin at the destination, the least clamped per-layer rate over
+    the group's non-empty subsets with the later groups as noise.  Both
+    rate vectors span all layers: layers undetectable at the destination
+    get zero rate, and destination layers the sequence never decodes stay
+    zero in the mimicking vector, so the distance is finite even when the
+    two cells detect different layer sets.
     """
     n = len(orders)
     L = table.n_layers
@@ -182,9 +196,8 @@ def _distance_matrix(
     log_nu2 = np.log(table.nu**2)
     var = table.var
     phi = table.phi
-    out = np.empty((n, n))
-    for i in range(n):
-        groups = orders[i].groups
+    out = np.empty((len(sequences), n))
+    for s, groups in enumerate(sequences):
         seq = [k for g in groups for k in g]  # decode order, stage 0 first
         p = pw[:, seq]
         suffix = np.concatenate(
@@ -201,7 +214,7 @@ def _distance_matrix(
         mimic[:, seq] = vals
         diff = np.linalg.norm(ref - mimic, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out[i] = np.where(
+            out[s] = np.where(
                 ref_norm > 0.0, diff / ref_norm, np.where(diff == 0.0, 0.0, np.inf)
             )
     return out
@@ -253,9 +266,11 @@ def reduce_map(
             scene, (dmap.xs[cell.ix], dmap.ys[cell.iy], z), dmap.filter_index
         )
         layer_gains[r] = g[table.tx]
-    dist = _distance_matrix(orders, layer_gains, table, dmap.noise_var)
+    order_id, sequences = _order_ids(orders)
+    dist = _distance_matrix(sequences, orders, layer_gains, table, dmap.noise_var)
     clusters = [
-        [members[r] for r in cat] for cat in _peel_categories(dist, tau_diff, tau_loss)
+        [members[r] for r in cat]
+        for cat in _peel_categories(dist, order_id, tau_diff, tau_loss)
     ]
 
     for label, cluster in enumerate(clusters):
@@ -267,27 +282,29 @@ def reduce_map(
 
 
 def _peel_categories(
-    dist: np.ndarray, tau_diff: float, tau_loss: float
+    dist: np.ndarray, order_id: np.ndarray, tau_diff: float, tau_loss: float
 ) -> list[list[int]]:
     """The iterative split pass of the size reduction.
 
-    While a category's maximum average distance exceeds ``tau_loss``, the
-    remaining members whose average distances tie with the current head's
-    within ``tau_diff`` peel off as a new category; the outer loop repeats
-    until the category count stops changing.
+    Cell r's distances to the other cells are ``dist[order_id[r]]`` (see
+    :func:`_distance_matrix`).  While a category's maximum average distance
+    exceeds ``tau_loss``, the remaining members whose average distances tie
+    with the current head's within ``tau_diff`` peel off as a new category;
+    the outer loop repeats until the category count stops changing.
     """
-    cats: list[list[int]] = [list(range(dist.shape[0]))]
+    cats: list[list[int]] = [list(range(order_id.size))]
     while True:
         new: list[list[int]] = []
         for cat in cats:
-            avg = dist[np.ix_(cat, cat)].mean(axis=1)
+            avg = dist[np.ix_(order_id[cat], cat)].mean(axis=1)
             if avg.max() > tau_loss:
                 rem = list(range(len(cat)))
                 while rem:
                     head = avg[rem[0]]
                     grp = [r for r in rem if abs(head - avg[r]) < tau_diff]
                     if len(grp) == len(rem) and len(rem) > 1:
-                        sub = dist[np.ix_([cat[r] for r in rem], [cat[r] for r in rem])]
+                        rows = [cat[r] for r in rem]
+                        sub = dist[np.ix_(order_id[rows], rows)]
                         if sub.mean(axis=1).max() > tau_loss:
                             # Mirror-image cells have exactly equal average
                             # distances and stall the tie peel; fall back to
@@ -295,7 +312,7 @@ def _peel_categories(
                             grp = [
                                 r
                                 for r in rem
-                                if dist[cat[rem[0]], cat[r]] <= tau_loss
+                                if dist[order_id[cat[rem[0]]], cat[r]] <= tau_loss
                             ]
                     new.append([cat[r] for r in grp])
                     taken = set(grp)

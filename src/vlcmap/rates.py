@@ -64,29 +64,18 @@ def model_at(
     )
 
 
-def geometric_tiebreak(scene, table: LayerTable) -> np.ndarray:
-    """Reflection-invariant (L, 2) tie-break keys from transmitter geometry.
-
-    Each layer's keys depend only on |x| and |y| of its transmitter relative
-    to the room's vertical center axis, so exactly tied greedy stages resolve
-    consistently across mirrored receiver positions.
-    """
-    ax = np.abs(scene.tx_positions[:, 0])
-    ay = np.abs(scene.tx_positions[:, 1])
-    return np.column_stack([ax + ay, ay - ax])[table.tx]
-
-
 def model_at_position(
     scene, table: LayerTable, position, filter_index: int
 ) -> RateModel:
-    """Rate model at a 3D receiver position through one optical filter."""
+    """Rate model at a 3D receiver position through one optical filter.
+
+    The table must be built from ``scene``: its geometric tie-break keys
+    become the model's.
+    """
     from .channel import gain_vector
 
     return model_at(
-        table,
-        gain_vector(scene, position, filter_index),
-        scene.sigma**2,
-        geometric_tiebreak(scene, table),
+        table, gain_vector(scene, position, filter_index), scene.sigma**2, table.tiebreak
     )
 
 

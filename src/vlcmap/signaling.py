@@ -100,6 +100,12 @@ class LayerTable:
     already ordered position-major with colors ascending in wavelength), layer
     number ascending within a transmitter.  The 1-based linear index of layer
     ``k`` is ``k + 1``.
+
+    ``tiebreak`` holds the reflection-invariant (L, 2) keys that resolve
+    exactly tied greedy stages.  They depend only on |x| and |y| of each
+    layer's transmitter relative to the room's vertical center axis, so
+    ties resolve consistently across mirrored receiver positions; every
+    scene-built rate model carries them.
     """
 
     tx: np.ndarray        # (L,) transmitter index per layer
@@ -111,6 +117,7 @@ class LayerTable:
     var: np.ndarray       # truncated variance
     phi: np.ndarray       # entropy constant, nats
     layers_per_tx: np.ndarray
+    tiebreak: np.ndarray  # (L, 2) geometric tie-break keys, read-only
 
     @property
     def n_layers(self) -> int:
@@ -154,9 +161,16 @@ def build_layer_set(scene: Scene, layers_per_tx) -> LayerTable:
             cols["mean"].append(p.mean)
             cols["var"].append(p.var)
             cols["phi"].append(p.phi)
+    tx = np.array(tx_ids, dtype=int)
+    ax = np.abs(scene.tx_positions[:, 0])
+    ay = np.abs(scene.tx_positions[:, 1])
+    tiebreak = np.column_stack([ax + ay, ay - ax])[tx]
+    # Rate models share this array rather than copy it.
+    tiebreak.setflags(write=False)
     return LayerTable(
-        tx=np.array(tx_ids, dtype=int),
+        tx=tx,
         layer_no=np.array(layer_nos, dtype=int),
         layers_per_tx=counts,
+        tiebreak=tiebreak,
         **{k: np.array(v) for k, v in cols.items()},
     )

@@ -11,7 +11,9 @@ and a map rebuilt from its 1/8 wedge must equal the directly solved map.
 Group decoding (group size bound tau >= 2) has scalar references that
 enumerate the candidate sets one at a time: the greedy order, the set
 margin and the margin-greedy pass of the rate update, and the normalized
-distance of the map's size reduction.
+distance of the map's size reduction.  The size reduction's distance matrix
+has a per-cell reference too, one row per source cell, which the matrix of
+one row per distinct decoding order must equal once expanded.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from scipy.integrate import quad
 from vlcmap.assoc import local_rate_vector
 from vlcmap.channel import Scene, gain_vector
 from vlcmap.cpgd import TIE_RTOL, DecodingOrder, outage_order
+from vlcmap.decmap import _group_rates
 from vlcmap.errors import GeometryError, InvalidParameterError
-from vlcmap.rates import RateModel
+from vlcmap.rates import RateModel, _stage_rates
 from vlcmap.signaling import LayerTable
 
 LN2 = math.log(2.0)
@@ -505,6 +508,53 @@ def assignment_repair(problem, genome: np.ndarray) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # Map size reduction
+
+
+def cell_distance_matrix(
+    orders: list[DecodingOrder],
+    layer_gains: np.ndarray,
+    table: LayerTable,
+    noise_var: float,
+) -> np.ndarray:
+    """d[i, j] = normalized rate loss of using cell i's order at cell j.
+
+    Per-cell reference for ``decmap._distance_matrix``: one pass per source
+    cell, so cells sharing a decoding order recompute the same row.
+    """
+    n = len(orders)
+    L = table.n_layers
+    pw = layer_gains**2 * table.var          # (n, L)
+    ref = np.zeros((n, L))
+    for r, o in enumerate(orders):
+        idx = list(o.detectable)
+        ref[r, idx] = o.rates[idx]
+    ref_norm = np.linalg.norm(ref, axis=1)
+    log_nu2 = np.log(table.nu**2)
+    var = table.var
+    phi = table.phi
+    out = np.empty((n, n))
+    for i in range(n):
+        groups = orders[i].groups
+        seq = [k for g in groups for k in g]  # decode order, stage 0 first
+        p = pw[:, seq]
+        suffix = np.concatenate(
+            [np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((n, 1))], axis=1
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if len(seq) == len(groups):  # one layer per stage
+                vals = _stage_rates(log_nu2[seq], var[seq], phi[seq], p, p + suffix + noise_var)
+            else:
+                vals = _group_rates(groups, pw, suffix + noise_var, log_nu2, var, phi)
+        np.maximum(vals, 0.0, out=vals)
+        vals[p == 0.0] = 0.0
+        mimic = np.zeros((n, L))
+        mimic[:, seq] = vals
+        diff = np.linalg.norm(ref - mimic, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[i] = np.where(
+                ref_norm > 0.0, diff / ref_norm, np.where(diff == 0.0, 0.0, np.inf)
+            )
+    return out
 
 
 def max_average_loss(clusters, dist_fn) -> float:

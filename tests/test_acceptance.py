@@ -25,7 +25,7 @@ from vlcmap.assoc import (
 from vlcmap.channel import filter_gain_matrix, gain_vector
 from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
-from vlcmap.decmap import _distance_matrix, build_map, reduce_map
+from vlcmap.decmap import _distance_matrix, _order_ids, build_map, reduce_map
 from vlcmap.experiments import AssocExperimentConfig, run_assoc_experiment, user_grid
 from vlcmap.rates import achievable_rate, model_at_position
 from vlcmap.sceneio import DEFAULT_BANDS, DEFAULT_FILTERS, reference_scene
@@ -166,11 +166,12 @@ class TestClusteringReproduction:
                 for c in members
             ]
         )
-        dist = _distance_matrix(orders, gains, table, dmap.noise_var)
+        order_id, sequences = _order_ids(orders)
+        dist = _distance_matrix(sequences, orders, gains, table, dmap.noise_var)
         worst = 0.0
         for cl in clusters:
             rows = [row[c] for c in cl]
-            sub = dist[np.ix_(rows, rows)]
+            sub = dist[np.ix_(order_id[rows], rows)]
             worst = max(worst, float(sub.mean(axis=1).max()))
         return worst
 

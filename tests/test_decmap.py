@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from vlcmap.channel import gain_vector
 from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
 from vlcmap.decmap import (
     MAP_VERSION,
     _distance_matrix,
+    _order_ids,
     _peel_categories,
     build_map,
     load_map,
@@ -23,6 +25,7 @@ from vlcmap.sceneio import grid_scene, reference_scene
 from vlcmap.signaling import build_layer_set
 
 from oracles import (
+    cell_distance_matrix,
     greedy_groups,
     grid_index,
     layer_permutation,
@@ -270,10 +273,12 @@ class TestFingerprint:
 
 
 def distance_rows(scene, table, dmap, cells):
-    """``_distance_matrix`` over the given map cells, and the cells' models."""
+    """``_distance_matrix`` over the given map cells, one row per cell, and the cells' models."""
     models = [model_at_position(scene, table, c.position, dmap.filter_index) for c in cells]
     gains = np.stack([m.gains for m in models])
-    return _distance_matrix([c.order for c in cells], gains, table, dmap.noise_var), models
+    orders = [c.order for c in cells]
+    order_id, sequences = _order_ids(orders)
+    return _distance_matrix(sequences, orders, gains, table, dmap.noise_var)[order_id], models
 
 
 class TestNormalizedDistance:
@@ -378,7 +383,7 @@ class TestGroupDecodingMap:
         ])
         # Distances are normalized; a self-distance is 0 or a few ulps.
         np.testing.assert_allclose(dist, oracle, rtol=1e-12, atol=1e-13)
-        clusters = _peel_categories(oracle, *dmap.thresholds)
+        clusters = _peel_categories(oracle, np.arange(len(active)), *dmap.thresholds)
         assert len(clusters) == dmap.cluster_count > 1
         labels = np.empty(len(active), dtype=int)
         for label, members in enumerate(clusters):
@@ -395,8 +400,58 @@ class TestGroupDecodingMap:
         orders = [greedy_order(m, tau=2) for m in models]
         keep = [r for r, o in enumerate(orders) if not o.outage]
         assert sum(len(g) == 2 for r in keep for g in orders[r].groups) > 0
-        dist = _distance_matrix([orders[r] for r in keep], gains[keep], table, base.noise_var)
+        kept = [orders[r] for r in keep]
+        order_id, sequences = _order_ids(kept)
+        dist = _distance_matrix(sequences, kept, gains[keep], table, base.noise_var)[order_id]
         for a, i in enumerate(keep):
             for b, j in enumerate(keep):
                 want = normalized_distance(orders[i], orders[j], models[j])
                 assert dist[a, b] == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+class TestDistinctOrderDistance:
+    """The size reduction's matrix of one row per distinct decoding order.
+
+    Expanded by order id it must equal the per-cell reference matrix bit
+    for bit, and the peel must give the same clusters on either.  The tau 2
+    map is the ``SMALL_SCENE_YAML`` scene's, where some stages are grouped.
+    """
+
+    # (distinct orders, active cells) of each map.
+    SHAPES = {"benchmark_scene": (501, 681), "corner_scene": (28, 681),
+              "pair_scene": (4, 519), "tau2": (4, 38)}
+
+    @pytest.fixture(scope="class", params=list(SHAPES))
+    def reduced(self, request):
+        if request.param == "tau2":
+            scene = reference_scene(1, 2, spacing_x=0.6, spacing_y=0.6, sample_gap=0.4)
+            tau = 2
+        else:
+            scene, tau = request.getfixturevalue(request.param), 1
+        table = build_layer_set(scene, 2)
+        dmap = build_map(scene, table, 0, tau=tau)
+        members = [i for i, c in enumerate(dmap.cells) if not c.order.outage]
+        orders = [dmap.cells[i].order for i in members]
+        gains = np.stack([
+            gain_vector(scene, dmap.cells[i].position, dmap.filter_index)[table.tx]
+            for i in members
+        ])
+        clusters = reduce_map(dmap, scene, table)
+        oracle = cell_distance_matrix(orders, gains, table, dmap.noise_var)
+        return SimpleNamespace(name=request.param, dmap=dmap, members=members, orders=orders,
+                               gains=gains, table=table, clusters=clusters, oracle=oracle)
+
+    def test_expanded_rows_equal_the_per_cell_matrix(self, reduced):
+        r = reduced
+        order_id, sequences = _order_ids(r.orders)
+        dist = _distance_matrix(sequences, r.orders, r.gains, r.table, r.dmap.noise_var)
+        assert dist.shape == self.SHAPES[r.name]
+        assert np.array_equal(dist[order_id], r.oracle)
+        grouped = any(len(g) == 2 for groups in sequences for g in groups)
+        assert grouped == (r.name == "tau2")
+
+    def test_clusters_equal_the_peel_of_the_per_cell_matrix(self, reduced):
+        r = reduced
+        want = _peel_categories(r.oracle, np.arange(len(r.orders)), *r.dmap.thresholds)
+        assert r.clusters == [[r.members[i] for i in cat] for cat in want]
+        assert r.dmap.cluster_count == len(want) > 1

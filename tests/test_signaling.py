@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from vlcmap.errors import CalibrationError, InvalidParameterError
 from vlcmap.signaling import build_layer_set, calibrate_layer, tg_moments
 
-from oracles import layer_id, tg_quadrature
+from oracles import layer_id, layer_permutation, tg_quadrature
 
 
 class TestTGMoments:
@@ -96,6 +96,14 @@ class TestLayerTable:
         t = benchmark_table
         for arr in (t.peak, t.mu, t.nu, t.mean, t.var, t.phi):
             assert np.ptp(arr) == 0.0
+
+    def test_tiebreak_keys_survive_axis_reflections(self, benchmark_scene, benchmark_table):
+        # Rate models share the keys, so the table must not let them change.
+        keys = benchmark_table.tiebreak
+        assert keys.shape == (benchmark_table.n_layers, 2) and not keys.flags.writeable
+        for transform in ("horizontal", "vertical"):
+            perm = layer_permutation(benchmark_scene, benchmark_table, transform)
+            np.testing.assert_array_equal(keys[perm], keys)
 
     def test_csv_round_numbers(self, benchmark_table, tmp_path):
         path = tmp_path / "layers.csv"
