@@ -79,10 +79,12 @@ def truncate_depth(order: DecodingOrder, table: LayerTable, tx: int) -> int:
 
     The base depth is the last stage containing one of the transmitter's
     layers; raises if the transmitter is undetectable at the order's position.
-    Exactly tied stages have no canonical sequence (the greedy tie-break is
-    by layer id, which reflections relabel), so the depth extends through any
-    following stages whose rate ties the base stage's — this keeps the kept
-    prefix invariant under the scene's symmetries.
+    Tied stages have no canonical sequence (the greedy breaks exact ties by
+    the model's geometric keys, or by layer id without keys), so the depth
+    extends through any following stages whose stored rate ties the base
+    stage's within ``_DEPTH_RTOL``.  The stored rates are clamped at 0, so
+    an own stage of rate 0 keeps the following stages of rate 0, up to the
+    first one with a positive rate.
     """
     depth = -1
     for m, grp in enumerate(order.groups):
@@ -114,16 +116,28 @@ def local_rate_vector(order: DecodingOrder, table: LayerTable, tx: int) -> np.nd
     return out
 
 
-def assigned_sum_rate(rbar: np.ndarray, table: LayerTable, assignment) -> float:
-    """Sum-rate objective: assigned transmitters' layers only."""
-    total = 0.0
+def user_rates(assignment, rates: np.ndarray, table: LayerTable) -> list[float]:
+    """Each user's rate: its transmitter's finite layer rates summed (NaN unserved)."""
+    out = []
     for tx in assignment:
         if tx < 0:
+            out.append(float("nan"))
             continue
-        for k in np.flatnonzero(table.tx == tx):
-            r = rbar[k]
-            if math.isfinite(r):
-                total += float(r)
+        vals = rates[np.flatnonzero(table.tx == tx)]
+        out.append(float(vals[np.isfinite(vals)].sum()))
+    return out
+
+
+def sum_rate(rates: np.ndarray, table: LayerTable, assignment) -> float:
+    """Sum-rate objective: the served users' :func:`user_rates`, added in user order.
+
+    This is the accumulation of :meth:`_AssignmentProblem.evaluate`, so an
+    association's objective is exactly the sum rate of its global rates.
+    """
+    total = 0.0
+    for rate in user_rates(assignment, rates, table):
+        if not math.isnan(rate):
+            total += rate
     return total
 
 
@@ -227,7 +241,8 @@ class _AssignmentProblem:
 
         Each user's own-layer sum adds its finite entries in layer order with
         the others as zeros, which numpy sums sequentially for fewer than 8
-        layers per transmitter; the users' sums accumulate in choice order.
+        layers per transmitter; the users' sums accumulate in choice order,
+        which is user order: the array form of :func:`sum_rate`.
         """
         users, cands = list(choice), list(choice.values())
         folded = np.minimum.reduce(self.rows[users, cands])
@@ -455,5 +470,5 @@ def iterative_rate_update(
         rates=rhat,
         rounds=rounds,
         converged=converged,
-        sum_rate=assigned_sum_rate(rhat, table, association.assignment),
+        sum_rate=sum_rate(rhat, table, association.assignment),
     )

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 infeasible problem,
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,13 +59,52 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _run(fn):
-    try:
-        fn()
-    except InfeasibleError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    except VlcError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+def _exits(fn):
+    """Run a command, exiting with the documented code on a package error."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except InfeasibleError as exc:
+            _fail(EXIT_INFEASIBLE, str(exc))
+        except VlcError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+
+    return run
+
+
+def _assoc_options(fn):
+    """Declare the options ``assoc solve`` and ``sweep run`` share."""
+    options = [
+        click.option("--scene", "scene_path", type=click.Path(exists=True), default=None),
+        click.option("--map", "map_path", type=click.Path(exists=True), default=None,
+                     help="Serve decoding orders from this prebuilt map."),
+        click.option("--filter", "filter_index", type=int, default=0, show_default=True),
+        click.option("--tau", type=int, default=1, show_default=True),
+        click.option("--layers", type=int, default=None),
+        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--population", type=int, default=64, show_default=True),
+        click.option("--generations", type=int, default=200, show_default=True),
+    ]
+    for option in reversed(options):
+        fn = option(fn)
+    return fn
+
+
+def _assoc_setup(scene_path, map_path, filter_index, tau, layers, seed, population,
+                 generations, refine=True):
+    """Scene spec, map (or None) and association config from the shared options."""
+    spec = _load_spec(scene_path, layers)
+    dmap = _load_scene_map(map_path, spec.scene)
+    cfg = AssocExperimentConfig(
+        filter_index=filter_index,
+        tau=tau,
+        layers_per_tx=spec.layers_per_tx,
+        ga=GAConfig(population=population, generations=generations, seed=seed),
+        refine=refine,
+    )
+    return spec, dmap, cfg
 
 
 @click.group()
@@ -88,24 +128,21 @@ def map_group() -> None:
 @click.option("--reduce/--no-reduce", "do_reduce", default=True, show_default=True)
 @click.option("--tau-diff", type=float, default=1e-5, show_default=True)
 @click.option("--tau-loss", type=float, default=0.1, show_default=True)
+@_exits
 def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce, tau_diff,
               tau_loss) -> None:
     """Solve the decoding order at every plane sample and store the map."""
-
-    def go() -> None:
-        spec = _load_spec(scene_path, layers)
-        cfg = MapExperimentConfig(
-            filter_index=filter_index,
-            tau=tau,
-            layers_per_tx=spec.layers_per_tx,
-            reduce=do_reduce,
-            tau_diff=tau_diff,
-            tau_loss=tau_loss,
-        )
-        summary = run_map_experiment(spec.scene, cfg, outdir)
-        click.echo(json.dumps(summary, indent=2, sort_keys=True))
-
-    _run(go)
+    spec = _load_spec(scene_path, layers)
+    cfg = MapExperimentConfig(
+        filter_index=filter_index,
+        tau=tau,
+        layers_per_tx=spec.layers_per_tx,
+        reduce=do_reduce,
+        tau_diff=tau_diff,
+        tau_loss=tau_loss,
+    )
+    summary = run_map_experiment(spec.scene, cfg, outdir)
+    click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
 
 @map_group.command("reduce")
@@ -116,55 +153,49 @@ def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce, tau_diff
 @click.option("--tau-loss", type=float, default=0.1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output map file (defaults to rewriting in place).")
+@_exits
 def map_reduce(map_path, scene_path, layers, tau_diff, tau_loss, out_path) -> None:
     """Cluster an existing map's cells and store the labels."""
-
-    def go() -> None:
-        spec = _load_spec(scene_path, layers)
-        dmap = _load_scene_map(map_path, spec.scene)
-        table = build_layer_set(spec.scene, spec.layers_per_tx)
-        clusters = reduce_map(dmap, spec.scene, table, tau_diff, tau_loss)
-        save_map(dmap, out_path or map_path)
-        click.echo(json.dumps({
-            "cluster_count": len(clusters),
-            "n_active": dmap.n_active,
-            "compression_ratio": dmap.compression_ratio,
-        }, indent=2, sort_keys=True))
-
-    _run(go)
+    spec = _load_spec(scene_path, layers)
+    dmap = _load_scene_map(map_path, spec.scene)
+    table = build_layer_set(spec.scene, spec.layers_per_tx)
+    clusters = reduce_map(dmap, spec.scene, table, tau_diff, tau_loss)
+    save_map(dmap, out_path or map_path)
+    click.echo(json.dumps({
+        "cluster_count": len(clusters),
+        "n_active": dmap.n_active,
+        "compression_ratio": dmap.compression_ratio,
+    }, indent=2, sort_keys=True))
 
 
 @map_group.command("inspect")
 @click.option("--map", "map_path", type=click.Path(exists=True), required=True)
 @click.option("--at", nargs=2, type=float, default=None,
               help="Print the cell at plane coordinates (x, y).")
+@_exits
 def map_inspect(map_path, at) -> None:
     """Print a map summary, or one cell's decoding order."""
-
-    def go() -> None:
-        dmap = load_map(map_path)
-        if at:
-            cell = dmap.cell_at(at[0], at[1])
-            info = {
-                "position": list(cell.position),
-                "outage": cell.order.outage,
-                "cluster": cell.cluster,
-            }
-            info.update(_order_payload(cell.order))
-            click.echo(json.dumps(info, indent=2))
-            return
-        click.echo(json.dumps({
-            "scene_hash": dmap.scene_hash,
-            "filter_index": dmap.filter_index,
-            "tau": dmap.tau,
-            "shape": list(dmap.shape),
-            "n_cells": len(dmap.cells),
-            "n_active": dmap.n_active,
-            "cluster_count": dmap.cluster_count,
-            "compression_ratio": dmap.compression_ratio,
-        }, indent=2, sort_keys=True))
-
-    _run(go)
+    dmap = load_map(map_path)
+    if at:
+        cell = dmap.cell_at(at[0], at[1])
+        info = {
+            "position": list(cell.position),
+            "outage": cell.order.outage,
+            "cluster": cell.cluster,
+        }
+        info.update(_order_payload(cell.order))
+        click.echo(json.dumps(info, indent=2))
+        return
+    click.echo(json.dumps({
+        "scene_hash": dmap.scene_hash,
+        "filter_index": dmap.filter_index,
+        "tau": dmap.tau,
+        "shape": list(dmap.shape),
+        "n_cells": len(dmap.cells),
+        "n_active": dmap.n_active,
+        "cluster_count": dmap.cluster_count,
+        "compression_ratio": dmap.compression_ratio,
+    }, indent=2, sort_keys=True))
 
 
 def _read_users(path: str) -> list[tuple[float, float, float]]:
@@ -192,49 +223,27 @@ def assoc_group() -> None:
 
 
 @assoc_group.command("solve")
-@click.option("--scene", "scene_path", type=click.Path(exists=True), default=None)
+@_assoc_options
 @click.option("--users", "users_path", type=click.Path(exists=True), default=None,
               help="CSV of user positions x,y,z (header optional).")
 @click.option("--anchor", nargs=2, type=float, default=None,
               help="Place the default 4x4 user grid at this plane anchor.")
-@click.option("--map", "map_path", type=click.Path(exists=True), default=None,
-              help="Serve decoding orders from this prebuilt map.")
 @click.option("--out", "outdir", type=click.Path(), default=None)
-@click.option("--filter", "filter_index", type=int, default=0, show_default=True)
-@click.option("--tau", type=int, default=1, show_default=True)
-@click.option("--layers", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--population", type=int, default=64, show_default=True)
-@click.option("--generations", type=int, default=200, show_default=True)
 @click.option("--refine/--no-refine", default=True, show_default=True)
-def assoc_solve(scene_path, users_path, anchor, map_path, outdir, filter_index,
-                tau, layers, seed, population, generations, refine) -> None:
+@_exits
+def assoc_solve(users_path, anchor, outdir, refine, **shared) -> None:
     """Assign each user a transmitter and report the achieved rates."""
-
-    def go() -> None:
-        spec = _load_spec(scene_path, layers)
-        if users_path is not None:
-            positions = _read_users(users_path)
-        elif anchor is not None:
-            positions = user_grid((anchor[0], anchor[1], spec.scene.plane.height))
-        else:
-            raise ConfigError("need --users or --anchor")
-        dmap = _load_scene_map(map_path, spec.scene)
-        cfg = AssocExperimentConfig(
-            filter_index=filter_index,
-            tau=tau,
-            layers_per_tx=spec.layers_per_tx,
-            ga=GAConfig(population=population, generations=generations, seed=seed),
-            refine=refine,
-        )
-        result = run_assoc_experiment(
-            spec.scene, positions, cfg, outdir=outdir, dmap=dmap
-        )
-        click.echo(json.dumps(result, indent=2, sort_keys=True))
-        if not result.get("converged", True):
-            sys.exit(EXIT_NO_CONVERGENCE)
-
-    _run(go)
+    spec, dmap, cfg = _assoc_setup(**shared, refine=refine)
+    if users_path is not None:
+        positions = _read_users(users_path)
+    elif anchor is not None:
+        positions = user_grid((anchor[0], anchor[1], spec.scene.plane.height))
+    else:
+        raise ConfigError("need --users or --anchor")
+    result = run_assoc_experiment(spec.scene, positions, cfg, outdir=outdir, dmap=dmap)
+    click.echo(json.dumps(result, indent=2, sort_keys=True))
+    if not result.get("converged", True):
+        sys.exit(EXIT_NO_CONVERGENCE)
 
 
 @main.group("sweep")
@@ -243,7 +252,7 @@ def sweep_group() -> None:
 
 
 @sweep_group.command("run")
-@click.option("--scene", "scene_path", type=click.Path(exists=True), default=None)
+@_assoc_options
 @click.option("--out", "outdir", type=click.Path(), required=True)
 @click.option("--plane", type=click.Choice(["xy", "yz"]), default="xy",
               show_default=True)
@@ -253,78 +262,56 @@ def sweep_group() -> None:
 @click.option("--fixed", type=float, default=None,
               help="z of the xy sweep plane / x of the yz plane "
                    "(default: receiver plane height / array center).")
-@click.option("--map", "map_path", type=click.Path(exists=True), default=None)
-@click.option("--filter", "filter_index", type=int, default=0, show_default=True)
-@click.option("--tau", type=int, default=1, show_default=True)
-@click.option("--layers", type=int, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--population", type=int, default=64, show_default=True)
-@click.option("--generations", type=int, default=200, show_default=True)
-def sweep_run(scene_path, outdir, plane, a_range, b_range, step, fixed, map_path,
-              filter_index, tau, layers, seed, population, generations) -> None:
+@_exits
+def sweep_run(outdir, plane, a_range, b_range, step, fixed, **shared) -> None:
     """Sweep the user-grid anchor and record the achieved rates per anchor.
 
     Writes every artifact, then exits 4 if refinement did not converge at
     some anchor.
     """
-
-    def go() -> None:
-        spec = _load_spec(scene_path, layers)
-        if fixed is None:
-            fixed_val = spec.scene.plane.height if plane == "xy" else 0.0
-        else:
-            fixed_val = fixed
-        dmap = _load_scene_map(map_path, spec.scene)
-        cfg = SweepConfig(
-            plane=plane,
-            a_range=tuple(a_range),
-            b_range=tuple(b_range),
-            step=step,
-            fixed=fixed_val,
-            assoc=AssocExperimentConfig(
-                filter_index=filter_index,
-                tau=tau,
-                layers_per_tx=spec.layers_per_tx,
-                ga=GAConfig(population=population, generations=generations, seed=seed),
-            ),
-        )
-        rows = run_sweep_experiment(spec.scene, cfg, outdir, dmap=dmap)
-        sums = [r["sum_rate"] for r in rows]
-        click.echo(json.dumps({
-            "anchors": len(rows),
-            "best_sum_rate": max(sums) if sums else 0.0,
-            "worst_sum_rate": min(sums) if sums else 0.0,
-            "out": str(Path(outdir) / "sweep.csv"),
-        }, indent=2, sort_keys=True))
-        if any(r["converged"] is False for r in rows):
-            sys.exit(EXIT_NO_CONVERGENCE)
-
-    _run(go)
+    spec, dmap, acfg = _assoc_setup(**shared)
+    if fixed is None:
+        fixed = spec.scene.plane.height if plane == "xy" else 0.0
+    cfg = SweepConfig(
+        plane=plane,
+        a_range=tuple(a_range),
+        b_range=tuple(b_range),
+        step=step,
+        fixed=fixed,
+        assoc=acfg,
+    )
+    rows = run_sweep_experiment(spec.scene, cfg, outdir, dmap=dmap)
+    sums = [r["sum_rate"] for r in rows]
+    click.echo(json.dumps({
+        "anchors": len(rows),
+        "best_sum_rate": max(sums) if sums else 0.0,
+        "worst_sum_rate": min(sums) if sums else 0.0,
+        "out": str(Path(outdir) / "sweep.csv"),
+    }, indent=2, sort_keys=True))
+    if any(r["converged"] is False for r in rows):
+        sys.exit(EXIT_NO_CONVERGENCE)
 
 
 @main.command("validate")
 @click.option("--scene", "scene_path", type=click.Path(exists=True), default=None)
 @click.option("--layers", type=int, default=None)
+@_exits
 def validate(scene_path, layers) -> None:
     """Check that a scene file parses and its signaling calibrates."""
-
-    def go() -> None:
-        spec = _load_spec(scene_path, layers)
-        table = build_layer_set(spec.scene, spec.layers_per_tx)
-        click.echo(json.dumps({
-            "scene_hash": scene_fingerprint(spec.scene),
-            "n_tx": spec.scene.n_tx,
-            "n_layers": table.n_layers,
-            "snr_db": spec.snr_db,
-            "sigma": spec.scene.sigma,
-            "plane_samples": [
-                int(spec.scene.plane.grid()[0].size),
-                int(spec.scene.plane.grid()[1].size),
-            ],
-            "filter_matrix": np.round(spec.scene.filter_matrix, 3).tolist(),
-        }, indent=2, sort_keys=True))
-
-    _run(go)
+    spec = _load_spec(scene_path, layers)
+    table = build_layer_set(spec.scene, spec.layers_per_tx)
+    click.echo(json.dumps({
+        "scene_hash": scene_fingerprint(spec.scene),
+        "n_tx": spec.scene.n_tx,
+        "n_layers": table.n_layers,
+        "snr_db": spec.snr_db,
+        "sigma": spec.scene.sigma,
+        "plane_samples": [
+            int(spec.scene.plane.grid()[0].size),
+            int(spec.scene.plane.grid()[1].size),
+        ],
+        "filter_matrix": np.round(spec.scene.filter_matrix, 3).tolist(),
+    }, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

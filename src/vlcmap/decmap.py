@@ -297,28 +297,22 @@ def _peel_categories(
         new: list[list[int]] = []
         for cat in cats:
             avg = dist[np.ix_(order_id[cat], cat)].mean(axis=1)
-            if avg.max() > tau_loss:
-                rem = list(range(len(cat)))
-                while rem:
-                    head = avg[rem[0]]
-                    grp = [r for r in rem if abs(head - avg[r]) < tau_diff]
-                    if len(grp) == len(rem) and len(rem) > 1:
-                        rows = [cat[r] for r in rem]
-                        sub = dist[np.ix_(order_id[rows], rows)]
-                        if sub.mean(axis=1).max() > tau_loss:
-                            # Mirror-image cells have exactly equal average
-                            # distances and stall the tie peel; fall back to
-                            # keeping the head's tau_loss-ball together.
-                            grp = [
-                                r
-                                for r in rem
-                                if dist[order_id[cat[rem[0]]], cat[r]] <= tau_loss
-                            ]
-                    new.append([cat[r] for r in grp])
-                    taken = set(grp)
-                    rem = [r for r in rem if r not in taken]
-            else:
+            if avg.max() <= tau_loss:
                 new.append(cat)
+                continue
+            # The remaining members (cell ids) and their averages, in step.
+            rem = np.array(cat)
+            while rem.size:
+                grp = np.abs(avg[0] - avg) < tau_diff
+                if grp.all() and rem.size > 1:
+                    sub = dist[np.ix_(order_id[rem], rem)]
+                    if sub.mean(axis=1).max() > tau_loss:
+                        # Mirror-image cells have exactly equal average
+                        # distances and stall the tie peel; fall back to
+                        # keeping the head's tau_loss-ball together.
+                        grp = dist[order_id[rem[0]], rem] <= tau_loss
+                new.append(rem[grp].tolist())
+                rem, avg = rem[~grp], avg[~grp]
         if len(new) == len(cats):
             return new
         cats = new

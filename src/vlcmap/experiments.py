@@ -19,6 +19,8 @@ from .assoc import (
     MapLookupSolver,
     iterative_rate_update,
     solve_association,
+    sum_rate,
+    user_rates,
 )
 from .channel import Scene
 from .decmap import (
@@ -138,10 +140,10 @@ def associate(
     """One user placement: association, refinement, per-user rates.
 
     The record holds the assignment and truncation depths, the sum rate
-    before (``sum_rate_assoc``) and after refinement, each user's rate (NaN
-    unserved) and the least of them; ``rounds`` and ``converged`` only when
-    ``cfg.refine`` is set.  Raises :class:`InfeasibleError` when every user
-    is in outage.
+    before (``sum_rate_assoc``) and after refinement (``sum_rate``, the sum
+    of ``user_rates``), each user's rate (NaN unserved) and the least of
+    them; ``rounds`` and ``converged`` only when ``cfg.refine`` is set.
+    Raises :class:`InfeasibleError` when every user is in outage.
     """
     assoc = solve_association(solver, positions, table, cfg.ga)
     record = {
@@ -150,15 +152,15 @@ def associate(
         "assignment": [int(t) for t in assoc.assignment],
         "depths": [int(d) for d in assoc.depths],
         "sum_rate_assoc": assoc.objective,
-        "sum_rate": assoc.objective,
     }
     rates = assoc.rbar
     if cfg.refine:
         models = [model_at_position(scene, table, p, cfg.filter_index) for p in positions]
         upd = iterative_rate_update(assoc, models, table, tau=cfg.tau, max_rounds=cfg.max_rounds)
         rates = upd.rates
-        record.update(sum_rate=upd.sum_rate, rounds=upd.rounds, converged=upd.converged)
-    record["user_rates"] = per_user_rates(assoc.assignment, rates, table)
+        record.update(rounds=upd.rounds, converged=upd.converged)
+    record["sum_rate"] = sum_rate(rates, table, assoc.assignment)
+    record["user_rates"] = user_rates(assoc.assignment, rates, table)
     served = [r for r in record["user_rates"] if not math.isnan(r)]
     record["min_user_rate"] = min(served) if served else float("nan")
     return record
@@ -170,14 +172,13 @@ def run_assoc_experiment(
     cfg: AssocExperimentConfig,
     outdir: str | Path | None = None,
     dmap: DecodingMap | None = None,
-    table: LayerTable | None = None,
 ) -> dict:
     """Associate users with transmitters at fixed positions, then refine.
 
     Uses map lookup when a map is given (positions must be samples of it),
     direct greedy solves otherwise.  Returns the :func:`associate` record.
     """
-    table = table if table is not None else build_layer_set(scene, cfg.layers_per_tx)
+    table = build_layer_set(scene, cfg.layers_per_tx)
     result = associate(scene, table, _solver(scene, table, cfg, dmap), user_positions, cfg)
     if outdir is not None:
         outdir = Path(outdir)
@@ -189,18 +190,6 @@ def run_assoc_experiment(
             outdir, "assoc", scene, cfg, map_lookup=dmap is not None, n_users=len(user_positions)
         )
     return result
-
-
-def per_user_rates(assignment, rates: np.ndarray, table: LayerTable) -> list[float]:
-    """Each user's rate: the sum over its transmitter's layers (NaN unserved)."""
-    out = []
-    for tx in assignment:
-        if tx < 0:
-            out.append(float("nan"))
-            continue
-        vals = rates[np.flatnonzero(table.tx == tx)]
-        out.append(float(vals[np.isfinite(vals)].sum()))
-    return out
 
 
 def _write_assoc_csv(path, user_positions, record: dict) -> None:

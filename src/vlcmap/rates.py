@@ -88,24 +88,20 @@ def achievable_rate(
     """Achievable sum rate of the signal set with the noise set uncancelled.
 
     The signal chain is evaluated in ascending layer id; each stage sees the
-    not-yet-chained signal layers, the noise set and the AWGN.  The result is
-    clamped at 0 by default (the TG bound can go negative at low SNR).
+    not-yet-chained signal layers, the noise set and the AWGN (one
+    :func:`_set_rates` call).  The result is clamped at 0 by default (the TG
+    bound can go negative at low SNR).
     """
-    sig = np.asarray(sorted(signal), dtype=int)
-    if sig.size == 0:
+    sig = sorted(signal)
+    if not sig:
         raise InvalidParameterError("signal set must be non-empty")
     if set(signal) & set(noise):
         raise InvalidParameterError("signal and noise sets must be disjoint")
-    noi = np.asarray(sorted(noise), dtype=int)
     pw = model.power
-    base = model.noise_var + (float(pw[noi].sum()) if noi.size else 0.0)
-    # Suffix sums: stage m sees signal layers m..p plus base.
-    denom = base + np.cumsum(pw[sig][::-1])[::-1]
-    cond_var = model.var[sig] - pw[sig] * model.var[sig] / denom
-    nats = 0.5 * float(np.sum(np.log(model.nu2[sig]) - np.log(cond_var))) - float(
-        np.sum(model.phi[sig])
+    base = model.noise_var + float(pw[sorted(noise)].sum())
+    rate = float(
+        _set_rates(np.log(model.nu2[sig]), model.var[sig], model.phi[sig], pw[sig], base)
     )
-    rate = nats / LN2
     if clamp and rate < 0.0:
         return 0.0
     return rate
@@ -115,8 +111,9 @@ def _stage_rates(log_nu2, var, phi, power, denom):
     """Per-layer rate of decoding each layer alone against ``denom``.
 
     ``denom`` is the AWGN variance plus the received power of the layer and
-    of everything still undecoded; this is the group-size-one stage of
-    :func:`achievable_rate`, unclamped, elementwise over arrays.
+    of everything still undecoded; unclamped, elementwise over arrays.  This
+    is the package's one copy of the closed-form rate under truncated
+    Gaussian input: every set rate is a sum of these stages.
     """
     return (0.5 * (log_nu2 - np.log(var - power * var / denom)) - phi) / LN2
 
@@ -128,9 +125,8 @@ def _set_rates(log_nu2, var, phi, power, base):
     :func:`_candidates` gathers them; ``base`` is the variance every stage
     of a set sees besides the set's own undecoded layers (AWGN plus noise
     layers): one value for all sets, or one per set (and receiver).  Stage
-    m of a set sees its layers m.. plus ``base``, as in
-    :func:`achievable_rate`.  Sets of one layer are one :func:`_stage_rates`
-    call, the group-size-one stage.
+    m of a set sees its layers m.. plus ``base``.  Sets of one layer are one
+    :func:`_stage_rates` call, the group-size-one stage.
     """
     if power.shape[-1] == 1:
         p = power[..., 0]

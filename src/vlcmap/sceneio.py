@@ -84,21 +84,19 @@ def grid_scene(
     )
 
 
-def calibrate_noise(
-    scene: Scene, snr_db: float, reference_filter: int = 0, reference_tx: int = 0
-) -> float:
+def calibrate_noise(scene: Scene, snr_db: float, reference_filter: int = 0) -> float:
     """Noise std from the receiver-side SNR of the reference link.
 
-    The reference link is the reference transmitter to the point directly
-    below it at the plane height, through the reference filter:
+    The reference link is transmitter 0 to the point directly below it at
+    the plane height, through the reference filter:
     ``sigma = peak * gain / 10**(snr_db / 20)``.
     """
-    tx = scene.tx_positions[reference_tx]
+    tx = scene.tx_positions[0]
     rx = np.array([tx[0], tx[1], tx[2] + scene.plane.height])
-    h_ref = gain_vector(scene, rx, reference_filter)[reference_tx]
+    h_ref = gain_vector(scene, rx, reference_filter)[0]
     if h_ref == 0.0:
         raise InvalidParameterError("reference link has zero gain")
-    return float(scene.peak_power[reference_tx]) * h_ref / 10.0 ** (snr_db / 20.0)
+    return float(scene.peak_power[0]) * h_ref / 10.0 ** (snr_db / 20.0)
 
 
 def reference_scene(n_x: int = 4, n_y: int = 4, snr_db: float = 15.0, **kwargs) -> Scene:

@@ -17,10 +17,10 @@ from vlcmap.assoc import (
     DirectSolver,
     GAConfig,
     _AssignmentProblem,
-    assigned_sum_rate,
     exhaustive_association,
     iterative_rate_update,
     solve_association,
+    sum_rate,
 )
 from vlcmap.channel import filter_gain_matrix, gain_vector
 from vlcmap.cli import main
@@ -240,7 +240,7 @@ class TestRefinementMonotonicity:
             for j, p in enumerate(users)
         ]
         result = iterative_rate_update(assoc, models, table)
-        phase_one = assigned_sum_rate(assoc.rbar, table, assoc.assignment)
+        phase_one = sum_rate(assoc.rbar, table, assoc.assignment)
         assert result.sum_rate >= phase_one - 1e-9
         assert result.converged
         assert result.rounds <= 50

@@ -12,11 +12,11 @@ from vlcmap.assoc import (
     MapLookupSolver,
     _AssignmentProblem,
     _margin_greedy_user,
-    assigned_sum_rate,
     exhaustive_association,
     iterative_rate_update,
     local_rate_vector,
     solve_association,
+    sum_rate,
     truncate_depth,
 )
 from vlcmap.cli import main
@@ -117,8 +117,17 @@ class TestAssignedSumRate:
         rbar = np.full(benchmark_table.n_layers, np.inf)
         rbar[0], rbar[1] = 0.1, 0.2   # tx 0
         rbar[4] = 0.25                # tx 2, layer 5 stays unbound
-        total = assigned_sum_rate(rbar, benchmark_table, [0, 2])
+        total = sum_rate(rbar, benchmark_table, [0, 2])
         assert total == pytest.approx(0.55)
+
+    def test_is_the_association_objective(self, corner_scene):
+        table = build_layer_set(corner_scene, 2)
+        solver = DirectSolver(corner_scene, table, 0)
+        users = user_grid((0.1, 0.0, corner_scene.plane.height))
+        for seed in range(3):
+            ga = GAConfig(population=16, generations=10, seed=seed)
+            assoc = solve_association(solver, users, table, ga)
+            assert assoc.objective == sum_rate(assoc.rbar, table, assoc.assignment)
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +304,7 @@ class TestIterativeRateUpdate:
         table, assoc, models = self._setup(corner_problem)
         result = iterative_rate_update(assoc, models, table)
         served = [int(t) for t in assoc.assignment if t >= 0]
-        assert result.sum_rate >= assigned_sum_rate(
+        assert result.sum_rate >= sum_rate(
             assoc.rbar, table, served
         ) - 1e-9
 
@@ -376,7 +385,7 @@ class TestGroupDecodingRefinement:
         models = [model_at_position(scene, table, p, 0) for p in users]
         full = iterative_rate_update(assoc, models, table, tau=2)
         assert full.converged
-        sums = [assigned_sum_rate(assoc.rbar, table, assoc.assignment)]
+        sums = [sum_rate(assoc.rbar, table, assoc.assignment)]
         for rounds in range(1, full.rounds + 1):
             upd = iterative_rate_update(assoc, models, table, tau=2, max_rounds=rounds)
             sums.append(upd.sum_rate)

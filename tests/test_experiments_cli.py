@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from vlcmap import experiments
-from vlcmap.assoc import DirectSolver, GAConfig, solve_association
+from vlcmap.assoc import DirectSolver, GAConfig, MapLookupSolver, solve_association
 from vlcmap.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
 from vlcmap.decmap import save_map
 from vlcmap.experiments import (
@@ -72,6 +73,37 @@ class TestRunAssocExperiment:
         result = run_assoc_experiment(corner_scene, users, cfg)
         assert result["sum_rate"] == result["sum_rate_assoc"]
         assert "rounds" not in result
+
+
+def added_in_user_order(user_rates) -> float:
+    """The served users' rates added with ``+=`` in user order."""
+    total = 0.0
+    for rate in user_rates:
+        if not math.isnan(rate):
+            total += rate
+    return total
+
+
+class TestSumRateIsTheSumOfUserRates:
+    """A record's ``sum_rate`` is exactly the sum of the ``user_rates`` beside it."""
+
+    @pytest.mark.parametrize("refine", [True, False], ids=["refined", "fold"])
+    def test_corner_scene(self, corner_scene, refine):
+        table = build_layer_set(corner_scene, 2)
+        users = user_grid((0.1, 0.0, corner_scene.plane.height))
+        cfg = AssocExperimentConfig(ga=SMALL_GA, refine=refine)
+        record = associate(corner_scene, table, DirectSolver(corner_scene, table, 0), users, cfg)
+        assert record["sum_rate"] == added_in_user_order(record["user_rates"])
+
+    @pytest.mark.parametrize("refine", [True, False], ids=["refined", "fold"])
+    def test_sweep_window_anchor(self, benchmark_scene, benchmark_table, benchmark_map, refine):
+        # Anchor (0.1, 0.1) of the benchmark's sweep window, GA seed 1: adding
+        # the refined rates layer by layer instead gives a sum 2 ulp away.
+        users = user_grid((0.1, 0.1, benchmark_scene.plane.height))
+        cfg = AssocExperimentConfig(ga=GAConfig(seed=1), refine=refine)
+        solver = MapLookupSolver(benchmark_map)
+        record = associate(benchmark_scene, benchmark_table, solver, users, cfg)
+        assert record["sum_rate"] == added_in_user_order(record["user_rates"])
 
 
 class TestRunSweepExperiment:
