@@ -37,11 +37,11 @@ class MapLookupSolver:
         """The order of the map cell at ``position``, which must be its sample.
 
         :meth:`DecodingMap.cell_at` rejects an (x, y) off the samples, and a
-        z more than ``SAMPLE_TOL`` off the map's plane raises
-        :class:`ConfigError` too: nothing is snapped.
+        z that is not finite or more than ``SAMPLE_TOL`` off the map's plane
+        raises :class:`ConfigError` too: nothing is snapped.
         """
         cell = self.dmap.cell_at(position[0], position[1])
-        if abs(position[2] - cell.position[2]) > SAMPLE_TOL:
+        if not abs(position[2] - cell.position[2]) <= SAMPLE_TOL:
             raise ConfigError(
                 f"position {tuple(float(p) for p in position)} is not a sample of the "
                 f"map: the map's plane is at z = {cell.position[2]}"

@@ -172,9 +172,12 @@ def gain_vector(
     """Per-transmitter gains at one position, with negligible gains zeroed.
 
     Zero outside the FOV cone; includes the color-through-filter gain and the
-    idealized concentrator gain n^2 / sin^2(fov).
+    idealized concentrator gain n^2 / sin^2(fov).  A position that is not
+    finite or coincides with a transmitter raises :class:`GeometryError`.
     """
     rx = np.asarray(rx_position, dtype=float)
+    if not np.isfinite(rx).all():
+        raise GeometryError(f"receiver position {rx.tolist()} is not finite")
     delta = rx[None, :] - scene.tx_positions
     dist2 = np.einsum("ij,ij->i", delta, delta)
     if np.any(dist2 == 0.0):

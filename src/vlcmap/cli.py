@@ -126,11 +126,8 @@ def map_group() -> None:
               help="Maximum decoding-group size.")
 @click.option("--layers", type=int, default=None, help="Layers per transmitter.")
 @click.option("--reduce/--no-reduce", "do_reduce", default=True, show_default=True)
-@click.option("--tau-diff", type=float, default=1e-5, show_default=True)
-@click.option("--tau-loss", type=float, default=0.1, show_default=True)
 @_exits
-def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce, tau_diff,
-              tau_loss) -> None:
+def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce) -> None:
     """Solve the decoding order at every plane sample and store the map."""
     spec = _load_spec(scene_path, layers)
     cfg = MapExperimentConfig(
@@ -138,8 +135,6 @@ def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce, tau_diff
         tau=tau,
         layers_per_tx=spec.layers_per_tx,
         reduce=do_reduce,
-        tau_diff=tau_diff,
-        tau_loss=tau_loss,
     )
     summary = run_map_experiment(spec.scene, cfg, outdir)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
@@ -149,17 +144,15 @@ def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce, tau_diff
 @click.option("--map", "map_path", type=click.Path(exists=True), required=True)
 @click.option("--scene", "scene_path", type=click.Path(exists=True), default=None)
 @click.option("--layers", type=int, default=None)
-@click.option("--tau-diff", type=float, default=1e-5, show_default=True)
-@click.option("--tau-loss", type=float, default=0.1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output map file (defaults to rewriting in place).")
 @_exits
-def map_reduce(map_path, scene_path, layers, tau_diff, tau_loss, out_path) -> None:
+def map_reduce(map_path, scene_path, layers, out_path) -> None:
     """Cluster an existing map's cells and store the labels."""
     spec = _load_spec(scene_path, layers)
     dmap = _load_scene_map(map_path, spec.scene)
     table = build_layer_set(spec.scene, spec.layers_per_tx)
-    clusters = reduce_map(dmap, spec.scene, table, tau_diff, tau_loss)
+    clusters = reduce_map(dmap, spec.scene, table)
     save_map(dmap, out_path or map_path)
     click.echo(json.dumps({
         "cluster_count": len(clusters),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +61,10 @@ class DecodingMap:
     scene_hash: str
     filter_index: int
     tau: int
-    noise_var: float
     xs: np.ndarray
     ys: np.ndarray
     n_layers: int
     cells: list[MapCell]
-    thresholds: tuple[float, float] | None = None
-    cluster_count: int = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -78,9 +76,12 @@ class DecodingMap:
     def cell_at(self, x: float, y: float) -> MapCell:
         """The cell sampled at (x, y), to within ``SAMPLE_TOL`` on each axis.
 
-        A position outside the mapped plane or between samples raises
-        :class:`ConfigError`; it is never snapped to the nearest sample.
+        A position that is not finite, outside the mapped plane or between
+        samples raises :class:`ConfigError`; it is never snapped to the
+        nearest sample.
         """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"position ({x}, {y}) is not finite")
         ix, iy = _nearest_sample(self.xs, x), _nearest_sample(self.ys, y)
         if not (0 <= ix < self.xs.size and 0 <= iy < self.ys.size):
             raise ConfigError(f"position ({x}, {y}) outside the mapped plane")
@@ -92,6 +93,11 @@ class DecodingMap:
     @property
     def n_active(self) -> int:
         return sum(not c.order.outage for c in self.cells)
+
+    @property
+    def cluster_count(self) -> int:
+        """Distinct cluster labels on the cells; 0 before size reduction."""
+        return len({c.cluster for c in self.cells if c.cluster >= 0})
 
     @property
     def compression_ratio(self) -> float:
@@ -142,7 +148,6 @@ def build_map(
         scene_hash=scene_fingerprint(scene),
         filter_index=filter_index,
         tau=tau,
-        noise_var=scene.sigma**2,
         xs=xs,
         ys=ys,
         n_layers=table.n_layers,
@@ -152,6 +157,12 @@ def build_map(
 
 # ---------------------------------------------------------------------------
 # Normalized distance and size reduction
+
+# Size-reduction thresholds: average distances within TAU_DIFF of each other
+# tie, and a category whose largest average distance is at most TAU_LOSS is
+# final.
+TAU_DIFF = 1e-5
+TAU_LOSS = 0.1
 
 
 def _order_ids(orders: list[DecodingOrder]) -> tuple[np.ndarray, list[tuple]]:
@@ -236,60 +247,42 @@ def _group_rates(groups, pw, rest, log_nu2, var, phi) -> np.ndarray:
     return np.repeat(margins[:, np.cumsum(counts) - 1], [len(g) for g in groups], axis=1)
 
 
-def reduce_map(
-    dmap: DecodingMap,
-    scene: Scene,
-    table: LayerTable,
-    tau_diff: float = 1e-5,
-    tau_loss: float = 0.1,
-) -> list[list[int]]:
+def reduce_map(dmap: DecodingMap, scene: Scene, table: LayerTable) -> list[list[int]]:
     """Cluster map cells that can share one representative decoding order.
 
     All non-outage cells start as one category and are refined with the
     peel-by-average-distance pass: while a category's maximum average
-    distance exceeds ``tau_loss``, members whose average distance is within
-    ``tau_diff`` of the current head's are split off together, iterating
-    until the category count stabilizes.  Returns the clusters as lists of
-    cell indices (row-major) and stores labels on the map.
+    distance exceeds ``TAU_LOSS``, members whose average distance is within
+    ``TAU_DIFF`` of the current head's are split off together, iterating
+    until the category count stabilizes.  Each cell's gains are taken at its
+    own sample position; ``scene`` must be the one the map was built from.
+    Returns the clusters as lists of cell indices (row-major) and stores
+    labels on the map.
     """
-    z = scene.plane.height
     members = [c for c, cell in enumerate(dmap.cells) if not cell.order.outage]
     if not members:
-        dmap.thresholds = (tau_diff, tau_loss)
-        dmap.cluster_count = 0
         return []
-    orders = [dmap.cells[c].order for c in members]
-    layer_gains = np.empty((len(members), table.n_layers))
-    for r, c in enumerate(members):
-        cell = dmap.cells[c]
-        g = gain_vector(
-            scene, (dmap.xs[cell.ix], dmap.ys[cell.iy], z), dmap.filter_index
-        )
-        layer_gains[r] = g[table.tx]
+    cells = [dmap.cells[c] for c in members]
+    orders = [cell.order for cell in cells]
+    layer_gains = np.stack(
+        [gain_vector(scene, cell.position, dmap.filter_index)[table.tx] for cell in cells]
+    )
     order_id, sequences = _order_ids(orders)
-    dist = _distance_matrix(sequences, orders, layer_gains, table, dmap.noise_var)
-    clusters = [
-        [members[r] for r in cat]
-        for cat in _peel_categories(dist, order_id, tau_diff, tau_loss)
-    ]
-
+    dist = _distance_matrix(sequences, orders, layer_gains, table, scene.sigma**2)
+    clusters = [[members[r] for r in cat] for cat in _peel_categories(dist, order_id)]
     for label, cluster in enumerate(clusters):
         for c in cluster:
             dmap.cells[c].cluster = label
-    dmap.thresholds = (tau_diff, tau_loss)
-    dmap.cluster_count = len(clusters)
     return clusters
 
 
-def _peel_categories(
-    dist: np.ndarray, order_id: np.ndarray, tau_diff: float, tau_loss: float
-) -> list[list[int]]:
+def _peel_categories(dist: np.ndarray, order_id: np.ndarray) -> list[list[int]]:
     """The iterative split pass of the size reduction.
 
     Cell r's distances to the other cells are ``dist[order_id[r]]`` (see
     :func:`_distance_matrix`).  While a category's maximum average distance
-    exceeds ``tau_loss``, the remaining members whose average distances tie
-    with the current head's within ``tau_diff`` peel off as a new category;
+    exceeds ``TAU_LOSS``, the remaining members whose average distances tie
+    with the current head's within ``TAU_DIFF`` peel off as a new category;
     the outer loop repeats until the category count stops changing.
     """
     cats: list[list[int]] = [list(range(order_id.size))]
@@ -297,20 +290,22 @@ def _peel_categories(
         new: list[list[int]] = []
         for cat in cats:
             avg = dist[np.ix_(order_id[cat], cat)].mean(axis=1)
-            if avg.max() <= tau_loss:
+            if avg.max() <= TAU_LOSS:
                 new.append(cat)
                 continue
             # The remaining members (cell ids) and their averages, in step.
             rem = np.array(cat)
             while rem.size:
-                grp = np.abs(avg[0] - avg) < tau_diff
+                grp = np.abs(avg[0] - avg) < TAU_DIFF
                 if grp.all() and rem.size > 1:
                     sub = dist[np.ix_(order_id[rem], rem)]
-                    if sub.mean(axis=1).max() > tau_loss:
+                    if sub.mean(axis=1).max() > TAU_LOSS:
                         # Mirror-image cells have exactly equal average
                         # distances and stall the tie peel; fall back to
-                        # keeping the head's tau_loss-ball together.
-                        grp = dist[order_id[rem[0]], rem] <= tau_loss
+                        # keeping the head's TAU_LOSS-ball together.  The
+                        # head always peels, so every pass shrinks ``rem``.
+                        grp = dist[order_id[rem[0]], rem] <= TAU_LOSS
+                        grp[0] = True
                 new.append(rem[grp].tolist())
                 rem, avg = rem[~grp], avg[~grp]
         if len(new) == len(cats):
@@ -322,7 +317,7 @@ def _peel_categories(
 # Serialization
 
 MAP_FORMAT = "vlcmap-decoding-map"
-MAP_VERSION = 2
+MAP_VERSION = 3
 
 
 def _order_payload(order: DecodingOrder) -> dict:
@@ -337,28 +332,18 @@ def _order_payload(order: DecodingOrder) -> dict:
 
 
 def save_map(dmap: DecodingMap, path) -> None:
+    """Write the map: the sample grid once, then one record per cell in row-major order."""
     payload = {
         "format": MAP_FORMAT,
         "version": MAP_VERSION,
         "scene_hash": dmap.scene_hash,
         "filter_index": dmap.filter_index,
         "tau": dmap.tau,
-        "noise_var": dmap.noise_var,
-        "thresholds": list(dmap.thresholds) if dmap.thresholds else None,
         "xs": dmap.xs.tolist(),
         "ys": dmap.ys.tolist(),
+        "z": dmap.cells[0].position[2],
         "n_layers": dmap.n_layers,
-        "cluster_count": dmap.cluster_count,
-        "cells": [
-            {
-                "ix": c.ix,
-                "iy": c.iy,
-                "position": list(c.position),
-                "cluster": c.cluster,
-                **_order_payload(c.order),
-            }
-            for c in dmap.cells
-        ],
+        "cells": [{"cluster": c.cluster, **_order_payload(c.order)} for c in dmap.cells],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -382,11 +367,10 @@ def _numbers(record: dict, key: str, size: int | None = None) -> list:
     return values
 
 
-def _cell_record(rec, n_layers: int) -> MapCell:
-    """One map cell from its JSON record, every field checked."""
+def _cell_record(rec, n_layers: int) -> tuple[DecodingOrder, int]:
+    """Decoding order and cluster label of one cell record, every field checked."""
     if type(rec) is not dict:
         raise TypeError("cell record is not an object")
-    position = tuple(_numbers(rec, "position", 3))
     if _field(rec, "outage", bool):
         order = outage_order(n_layers)
     else:
@@ -406,19 +390,16 @@ def _cell_record(rec, n_layers: int) -> MapCell:
         rates = np.full(n_layers, np.nan)
         rates[flat] = values
         order = DecodingOrder(groups, rates)
-    return MapCell(
-        _field(rec, "ix", int), _field(rec, "iy", int), position, order,
-        _field(rec, "cluster", int),
-    )
+    return order, _field(rec, "cluster", int)
 
 
 def load_map(path) -> DecodingMap:
     """Read a map written by :func:`save_map`.
 
-    Another format or version, malformed JSON, a missing or wrongly typed
-    field, or a cell record whose indices or position disagree with its
-    row-major place on the ``xs``/``ys`` grid (or whose z differs from the
-    other cells') raises :class:`ConfigError`.
+    Record i is the cell at ``divmod(i, ys.size)`` on the ``xs``/``ys`` grid,
+    at height ``z``.  Another format or version, malformed JSON, a missing
+    or wrongly typed field, or a cell count other than the grid's raises
+    :class:`ConfigError`.
     """
     try:
         with open(path) as fh:
@@ -433,28 +414,23 @@ def load_map(path) -> DecodingMap:
         n_layers = _field(payload, "n_layers", int)
         xs = np.array(_numbers(payload, "xs"), dtype=float)
         ys = np.array(_numbers(payload, "ys"), dtype=float)
-        cells = [_cell_record(rec, n_layers) for rec in _field(payload, "cells", list)]
-        if len(cells) != xs.size * ys.size:
-            raise ValueError(f"{len(cells)} cells for a {xs.size}x{ys.size} grid")
-        for i, cell in enumerate(cells):
+        z = float(_field(payload, "z", int, float))
+        records = _field(payload, "cells", list)
+        if not records or len(records) != xs.size * ys.size:
+            raise ValueError(f"{len(records)} cells for a {xs.size}x{ys.size} grid")
+        cells = []
+        for i, rec in enumerate(records):
             ix, iy = divmod(i, ys.size)
-            place = (ix, iy, (float(xs[ix]), float(ys[iy]), cells[0].position[2]))
-            if (cell.ix, cell.iy, cell.position) != place:
-                raise ValueError(f"cell record {i} is not the cell (ix, iy, position) = {place}")
-        thresholds = None
-        if payload["thresholds"] is not None:
-            thresholds = tuple(_numbers(payload, "thresholds", 2))
+            order, cluster = _cell_record(rec, n_layers)
+            cells.append(MapCell(ix, iy, (float(xs[ix]), float(ys[iy]), z), order, cluster))
         return DecodingMap(
             scene_hash=_field(payload, "scene_hash", str),
             filter_index=_field(payload, "filter_index", int),
             tau=_field(payload, "tau", int),
-            noise_var=float(_field(payload, "noise_var", int, float)),
             xs=xs,
             ys=ys,
             n_layers=n_layers,
             cells=cells,
-            thresholds=thresholds,
-            cluster_count=_field(payload, "cluster_count", int),
         )
     except KeyError as exc:
         raise ConfigError(f"bad map file {path}: missing field {exc}") from exc

@@ -54,8 +54,6 @@ class MapExperimentConfig:
     tau: int = 1
     layers_per_tx: int = 2
     reduce: bool = True
-    tau_diff: float = 1e-5
-    tau_loss: float = 0.1
 
 
 def run_map_experiment(
@@ -78,7 +76,7 @@ def run_map_experiment(
         "n_outage": len(dmap.cells) - dmap.n_active,
     }
     if cfg.reduce:
-        clusters = reduce_map(dmap, scene, table, cfg.tau_diff, cfg.tau_loss)
+        clusters = reduce_map(dmap, scene, table)
         summary.update(
             cluster_count=len(clusters), compression_ratio=dmap.compression_ratio
         )
@@ -229,6 +227,11 @@ _OUTAGE = {"n_served": 0, "sum_rate_assoc": 0.0, "sum_rate": 0.0, "min_user_rate
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """Anchor coordinates from ``lo`` to ``hi`` at ``step`` apart."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidParameterError(f"sweep step must be a positive finite number, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidParameterError(f"sweep range ({lo}, {hi}) must be finite and low to high")
     n = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(n)
 

@@ -167,7 +167,7 @@ class TestClusteringReproduction:
             ]
         )
         order_id, sequences = _order_ids(orders)
-        dist = _distance_matrix(sequences, orders, gains, table, dmap.noise_var)
+        dist = _distance_matrix(sequences, orders, gains, table, scene.sigma**2)
         worst = 0.0
         for cl in clusters:
             rows = [row[c] for c in cl]

@@ -102,6 +102,11 @@ class TestLinkGain:
         with pytest.raises(GeometryError):
             gain_vector(scene, scene.tx_positions[0], 0)
 
+    @pytest.mark.parametrize("rx", [(np.nan, 0.0, 2.0), (0.0, 0.0, np.inf)], ids=["nan", "inf"])
+    def test_non_finite_receiver_rejected(self, rx):
+        with pytest.raises(GeometryError, match="not finite"):
+            gain_vector(grid_scene(1, 1), rx, 0)
+
     def test_gain_vector_matches_scalar_calls(self):
         scene = grid_scene(2, 2)
         rx = np.array([0.35, -0.15, 2.0])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
 from vlcmap.decmap import (
     MAP_VERSION,
+    TAU_LOSS,
     _distance_matrix,
     _order_ids,
     _peel_categories,
@@ -183,6 +185,8 @@ class TestBuildMap:
         assert c.position[1] == pytest.approx(0.0)
         with pytest.raises(ConfigError):
             benchmark_map.cell_at(1e3, 0.0)
+        with pytest.raises(ConfigError, match="not finite"):
+            benchmark_map.cell_at(np.nan, 0.0)
 
     def test_cell_lookup_never_snaps(self, benchmark_map):
         assert benchmark_map.cell_at(0.1 + 1e-10, -1e-10).position[:2] == (
@@ -207,7 +211,7 @@ class TestSaveLoad:
         assert loaded.scene_hash == benchmark_map.scene_hash
         assert loaded.filter_index == benchmark_map.filter_index
         assert loaded.tau == benchmark_map.tau
-        assert loaded.noise_var == benchmark_map.noise_var
+        assert loaded.cluster_count == benchmark_map.cluster_count
         np.testing.assert_array_equal(loaded.xs, benchmark_map.xs)
         np.testing.assert_array_equal(loaded.ys, benchmark_map.ys)
         assert len(loaded.cells) == len(benchmark_map.cells)
@@ -234,18 +238,14 @@ class TestSaveLoad:
             lambda p: p["cells"][0].pop("cluster"),
             lambda p: p.update(tau="1"),
             lambda p: p.update(xs=None),
-            lambda p: p["cells"][0].update(position=[0.0, 0.0]),
+            lambda p: p.pop("z"),
+            lambda p: p.update(z="2.0"),
             lambda p: p.update(cells=p["cells"][:-1]),
             lambda p: next(c for c in p["cells"] if not c["outage"])["groups"].append([0]),
             lambda p: next(c for c in p["cells"] if not c["outage"]).update(groups=[], rates=[]),
-            lambda p: p.update(cells=[p["cells"][-1], *p["cells"][1:-1], p["cells"][0]]),
-            lambda p: p["cells"][1].update(iy=0),
-            lambda p: p["cells"][1]["position"].__setitem__(0, 0.0),
-            lambda p: p["cells"][-1]["position"].__setitem__(2, 1.5),
         ],
-        ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "null-xs", "short-position",
-             "missing-cell", "layer-id-0", "lit-no-groups", "swapped-cells", "wrong-iy",
-             "wrong-x", "other-z"],
+        ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "null-xs", "no-z", "str-z",
+             "missing-cell", "layer-id-0", "lit-no-groups"],
     )
     def test_rejects_malformed_fields(self, saved, edit):
         path, payload = saved
@@ -253,6 +253,18 @@ class TestSaveLoad:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_map(path)
+
+    def test_cells_take_their_place_from_the_grid(self, saved):
+        # Records hold no coordinates: record i is the cell at divmod(i, ys.size).
+        path, payload = saved
+        assert set(payload["cells"][0]) == {"cluster", "outage"}
+        payload["z"] = 1.5
+        path.write_text(json.dumps(payload))
+        loaded = load_map(path)
+        for i, cell in enumerate(loaded.cells):
+            ix, iy = divmod(i, loaded.ys.size)
+            assert (cell.ix, cell.iy) == (ix, iy)
+            assert cell.position == (loaded.xs[ix], loaded.ys[iy], 1.5)
 
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "map.json"
@@ -278,7 +290,7 @@ def distance_rows(scene, table, dmap, cells):
     gains = np.stack([m.gains for m in models])
     orders = [c.order for c in cells]
     order_id, sequences = _order_ids(orders)
-    return _distance_matrix(sequences, orders, gains, table, dmap.noise_var)[order_id], models
+    return _distance_matrix(sequences, orders, gains, table, scene.sigma**2)[order_id], models
 
 
 class TestNormalizedDistance:
@@ -320,7 +332,7 @@ class TestReduceMap:
     def test_loss_bounded_by_threshold(self, pair_scene):
         table = build_layer_set(pair_scene, 2)
         dmap = build_map(pair_scene, table, 0)
-        clusters = reduce_map(dmap, pair_scene, table, tau_loss=0.1)
+        clusters = reduce_map(dmap, pair_scene, table)
 
         models = {}
 
@@ -331,7 +343,29 @@ class TestReduceMap:
                 )
             return normalized_distance(dmap.cells[i].order, dmap.cells[j].order, models[j])
 
-        assert max_average_loss(clusters, dist) <= 0.1 + 1e-12
+        assert max_average_loss(clusters, dist) <= TAU_LOSS + 1e-12
+
+    def test_peel_ends_when_no_head_is_within_tau_loss_of_itself(self):
+        # Stored orders that disagree with the scene (a hand-edited map
+        # file) can put every self-distance above TAU_LOSS; each head then
+        # peels alone instead of an empty category repeating forever.
+        dist = np.full((1, 3), 2 * TAU_LOSS)
+        assert _peel_categories(dist, np.zeros(3, dtype=int)) == [[0], [1], [2]]
+
+    def test_gains_come_from_the_map_samples(self, pair_scene):
+        # A scene that differs only in its plane height has the map's
+        # fingerprint; the map's own sample positions still decide the gains.
+        table = build_layer_set(pair_scene, 2)
+        dmap = build_map(pair_scene, table, 0)
+        reduce_map(dmap, pair_scene, table)
+        labels = [c.cluster for c in dmap.cells]
+        lowered = replace(
+            reference_scene(1, 2, spacing_x=0.6, spacing_y=0.6, plane_height=1.5),
+            sigma=pair_scene.sigma,
+        )
+        assert scene_fingerprint(lowered) == dmap.scene_hash
+        reduce_map(dmap, lowered, table)
+        assert [c.cluster for c in dmap.cells] == labels
 
 
 SMALL_SCENE_YAML = """\
@@ -383,7 +417,7 @@ class TestGroupDecodingMap:
         ])
         # Distances are normalized; a self-distance is 0 or a few ulps.
         np.testing.assert_allclose(dist, oracle, rtol=1e-12, atol=1e-13)
-        clusters = _peel_categories(oracle, np.arange(len(active)), *dmap.thresholds)
+        clusters = _peel_categories(oracle, np.arange(len(active)))
         assert len(clusters) == dmap.cluster_count > 1
         labels = np.empty(len(active), dtype=int)
         for label, members in enumerate(clusters):
@@ -437,14 +471,15 @@ class TestDistinctOrderDistance:
             for i in members
         ])
         clusters = reduce_map(dmap, scene, table)
-        oracle = cell_distance_matrix(orders, gains, table, dmap.noise_var)
-        return SimpleNamespace(name=request.param, dmap=dmap, members=members, orders=orders,
-                               gains=gains, table=table, clusters=clusters, oracle=oracle)
+        oracle = cell_distance_matrix(orders, gains, table, scene.sigma**2)
+        return SimpleNamespace(name=request.param, scene=scene, dmap=dmap, members=members,
+                               orders=orders, gains=gains, table=table, clusters=clusters,
+                               oracle=oracle)
 
     def test_expanded_rows_equal_the_per_cell_matrix(self, reduced):
         r = reduced
         order_id, sequences = _order_ids(r.orders)
-        dist = _distance_matrix(sequences, r.orders, r.gains, r.table, r.dmap.noise_var)
+        dist = _distance_matrix(sequences, r.orders, r.gains, r.table, r.scene.sigma**2)
         assert dist.shape == self.SHAPES[r.name]
         assert np.array_equal(dist[order_id], r.oracle)
         grouped = any(len(g) == 2 for groups in sequences for g in groups)
@@ -452,6 +487,6 @@ class TestDistinctOrderDistance:
 
     def test_clusters_equal_the_peel_of_the_per_cell_matrix(self, reduced):
         r = reduced
-        want = _peel_categories(r.oracle, np.arange(len(r.orders)), *r.dmap.thresholds)
+        want = _peel_categories(r.oracle, np.arange(len(r.orders)))
         assert r.clusters == [[r.members[i] for i in cat] for cat in want]
         assert r.dmap.cluster_count == len(want) > 1

@@ -204,13 +204,9 @@ class TestCli:
         assert len(cell["groups"]) >= 1
 
     def test_map_reduce_after_build(self, tmp_path):
-        out = tmp_path / "m"
-        assert (
-            self.runner.invoke(
-                main, ["map", "build", "--out", str(out), "--no-reduce"]
-            ).exit_code
-            == 0
-        )
+        out, full = tmp_path / "m", tmp_path / "full"
+        for args in (["--out", str(out), "--no-reduce"], ["--out", str(full)]):
+            assert self.runner.invoke(main, ["map", "build", *args]).exit_code == 0
         res = self.runner.invoke(
             main, ["map", "reduce", "--map", str(out / "map.json")]
         )
@@ -223,6 +219,8 @@ class TestCli:
             ).output
         )
         assert info["cluster_count"] == payload["cluster_count"]
+        # Reducing a stored map writes the file that building it reduced does.
+        assert (out / "map.json").read_bytes() == (full / "map.json").read_bytes()
 
     def test_inspect_outside_plane_is_config_error(self, tmp_path):
         out = tmp_path / "m"
@@ -327,6 +325,32 @@ class TestCli:
         assert "Traceback" not in res.output
         assert "not a sample of the map" in res.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["assoc", "solve", "--users", "USERS"], "not finite"),
+            (["assoc", "solve", "--anchor", "nan", "0"], "not finite"),
+            (["assoc", "solve", "--anchor", "nan", "0", "--map", "MAP"], "not finite"),
+            (["map", "inspect", "--at", "nan", "0", "--map", "MAP"], "not finite"),
+            (["assoc", "solve", "--users", "Z_USERS", "--map", "MAP", "--no-refine"],
+             "not a sample of the map"),
+        ],
+        ids=["users-csv", "anchor", "anchor-on-map", "map-inspect", "z-on-map"],
+    )
+    def test_non_finite_positions_are_config_errors(self, benchmark_map, tmp_path, args, message):
+        map_path = tmp_path / "map.json"
+        save_map(benchmark_map, map_path)
+        (tmp_path / "users.csv").write_text("nan,0,2\n0.1,0,2\n")
+        (tmp_path / "z_users.csv").write_text("0.1,0,nan\n")
+        paths = {"USERS": "users.csv", "Z_USERS": "z_users.csv", "MAP": "map.json"}
+        args = [str(tmp_path / paths[a]) if a in paths else a for a in args]
+        if args[0] == "assoc":
+            args += ["--population", "16", "--generations", "5"]
+        res = self.runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert message in res.output
+
     def test_assoc_solve_with_users_csv(self, tmp_path):
         users = tmp_path / "users.csv"
         users.write_text(
@@ -365,6 +389,27 @@ class TestCli:
         res = self.runner.invoke(main, ["assoc", "solve", "--anchor", "0.0", "0.0", *option])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--step", "0"],
+            ["--step", "-0.1"],
+            ["--a-range", "nan", "0"],
+            ["--a-range", "0.2", "0"],
+        ],
+        ids=["step-0", "step-negative", "nan-bound", "reversed-range"],
+    )
+    def test_sweep_run_bad_ranges_are_config_errors(self, tmp_path, option):
+        out = tmp_path / "s"
+        res = self.runner.invoke(main, [
+            "sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0", *option,
+            "--population", "16", "--generations", "5", "--out", str(out),
+        ])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "sweep" in res.output
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
         "command",
