@@ -16,6 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .channel import check_filter_index
 from .cpgd import DecodingOrder, _extract, detectable_layers, greedy_order
 from .decmap import SAMPLE_TOL, DecodingMap
 from .errors import ConfigError, InfeasibleError, InvalidParameterError
@@ -53,6 +54,7 @@ class DirectSolver:
     """Greedy solve at arbitrary 3D positions, with caching."""
 
     def __init__(self, scene, table: LayerTable, filter_index: int, tau: int = 1):
+        check_filter_index(scene, filter_index)
         self.scene = scene
         self.table = table
         self.filter_index = filter_index
@@ -131,7 +133,7 @@ def user_rates(assignment, rates: np.ndarray, table: LayerTable) -> list[float]:
 def sum_rate(rates: np.ndarray, table: LayerTable, assignment) -> float:
     """Sum-rate objective: the served users' :func:`user_rates`, added in user order.
 
-    This is the accumulation of :meth:`_AssignmentProblem.evaluate`, so an
+    This is the accumulation of :meth:`_AssignmentProblem.evaluate_batch`, so an
     association's objective is exactly the sum rate of its global rates.
     """
     total = 0.0
@@ -174,6 +176,8 @@ class GAConfig:
             )
         if self.generations < 1:
             raise InvalidParameterError("need at least one GA generation")
+        if self.seed < 0:
+            raise InvalidParameterError(f"GA seed {self.seed} is negative")
 
 
 @dataclass
@@ -194,16 +198,17 @@ class _AssignmentProblem:
     - ``candidates``: each user's candidate transmitters, ascending (empty
       for a user in outage);
     - ``rows``: the candidate local rate vectors of all users as one
-      ``(n_users, max_cands, L + 1)`` array, padded with ``+inf``; the extra
-      last column is ``+inf`` for every candidate;
+      ``(n_users, max_cands + 1, L + 1)`` array, padded with ``+inf``; the
+      extra last candidate slot, all ``+inf``, stands for a user left
+      unserved, and the extra last column is ``+inf`` for every candidate;
     - ``own``: per user and candidate, the candidate transmitter's layer ids,
       padded with ``L``, the index of that extra ``+inf`` column;
     - ``preference``: each user's candidate indices by descending own-layer
       rate sum, ties toward the lower transmitter (a stable sort).
 
-    The GA calls ``repair`` once per genome and ``evaluate`` on the choice it
-    returns, so both work on these tables: ``evaluate`` is a few array
-    gathers, ``repair`` a walk over Python lists.
+    The GA calls ``repair`` once per genome, a walk over Python lists, and
+    scores a whole generation's choices in one ``evaluate_batch`` pass of
+    array gathers; ``evaluate`` is a batch of one.
     """
 
     def __init__(self, solver, table: LayerTable, user_positions):
@@ -224,8 +229,8 @@ class _AssignmentProblem:
         n_users = len(self.candidates)
         max_cands = max(len(c) for c in self.candidates)
         width = max(len(own) for own in own_layers)
-        self.rows = np.full((n_users, max_cands, n_layers + 1), np.inf)
-        self.own = np.full((n_users, max_cands, width), n_layers)
+        self.rows = np.full((n_users, max_cands + 1, n_layers + 1), np.inf)
+        self.own = np.full((n_users, max_cands + 1, width), n_layers)
         self.preference: list[list[int]] = []
         for j, txs in enumerate(self.candidates):
             sums = np.empty(len(txs))
@@ -236,21 +241,33 @@ class _AssignmentProblem:
                 sums[c] = row[own][np.isfinite(row[own])].sum()
             self.preference.append(np.argsort(-sums, kind="stable").tolist())
 
-    def evaluate(self, choice: dict[int, int]) -> tuple[float, np.ndarray]:
-        """Objective and global rate vector of a per-user candidate choice.
+    def evaluate_batch(self, choices: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives ``(P,)`` and global rate vectors ``(P, L)`` of P choices.
 
-        Each user's own-layer sum adds its finite entries in layer order with
-        the others as zeros, which numpy sums sequentially for fewer than 8
-        layers per transmitter; the users' sums accumulate in choice order,
-        which is user order: the array form of :func:`sum_rate`.
+        A user a choice leaves out takes the all-``+inf`` candidate slot, which
+        neither binds the fold nor adds to the objective; a choice serving
+        nobody scores ``-inf``.  Each user's own-layer sum adds its finite
+        entries in layer order with the others as zeros, which numpy sums
+        sequentially for fewer than 8 layers per transmitter; the users' sums
+        accumulate column by column in user order: the array form of
+        :func:`sum_rate`.
         """
-        users, cands = list(choice), list(choice.values())
-        folded = np.minimum.reduce(self.rows[users, cands])
-        own = folded[self.own[users, cands]]
-        total = 0.0
-        for s in np.where(np.isfinite(own), own, 0.0).sum(axis=1).tolist():
-            total += s
-        return total, folded[:-1]
+        unserved = self.rows.shape[1] - 1
+        picks = np.array([[choice.get(j, unserved) for j in self.active] for choice in choices])
+        users = np.array(self.active)
+        folded = np.minimum.reduce(self.rows[users, picks], axis=1)
+        own = folded[np.arange(len(choices))[:, None, None], self.own[users, picks]]
+        sums = np.where(np.isfinite(own), own, 0.0).sum(axis=2)
+        total = np.zeros(len(choices))
+        for col in sums.T:
+            total += col
+        total[(picks == unserved).all(axis=1)] = -np.inf
+        return total, folded[:, :-1]
+
+    def evaluate(self, choice: dict[int, int]) -> tuple[float, np.ndarray]:
+        """Objective and global rate vector of one per-user candidate choice."""
+        total, rbar = self.evaluate_batch([choice])
+        return float(total[0]), rbar[0]
 
     def repair(self, genome: np.ndarray) -> dict[int, int]:
         """Resolve transmitter conflicts deterministically (first keeps it)."""
@@ -330,37 +347,34 @@ def solve_association(
     sizes = np.array([max(len(c), 1) for c in problem.candidates])
 
     def one_run(rng: np.random.Generator) -> tuple[float, dict[int, int]]:
-        pop = np.stack([rng.integers(0, sizes) for _ in range(ga.population)])
-        fitness = np.empty(ga.population)
-        choices: list[dict[int, int]] = [None] * ga.population
-
-        def score(i: int) -> None:
-            choices[i] = problem.repair(pop[i])
-            fitness[i] = problem.evaluate(choices[i])[0] if choices[i] else -math.inf
-
-        for i in range(ga.population):
-            score(i)
+        P = ga.population
+        pop = np.empty((P, n_users), dtype=np.int64)
+        for i in range(P):
+            pop[i] = rng.integers(0, sizes)
+        choices = [problem.repair(genome) for genome in pop]
+        fitness = problem.evaluate_batch(choices)[0]
+        new = np.empty_like(pop)
 
         for _ in range(ga.generations):
-            elite = np.argsort(-fitness, kind="stable")[: ga.elitism]
-            new = [pop[e].copy() for e in elite]
-            new.extend(rng.integers(0, sizes) for _ in range(ga.immigrants))
-            while len(new) < ga.population:
-                a = rng.integers(0, ga.population, 2)
-                b = rng.integers(0, ga.population, 2)
-                p1 = pop[a[np.argmax(fitness[a])]]
-                p2 = pop[b[np.argmax(fitness[b])]]
-                child = p1.copy()
+            f = fitness.tolist()
+            new[: ga.elitism] = pop[np.argsort(-fitness, kind="stable")[: ga.elitism]]
+            for i in range(ga.elitism, ga.elitism + ga.immigrants):
+                new[i] = rng.integers(0, sizes)
+            for i in range(ga.elitism + ga.immigrants, P):
+                # Binary tournaments; the first drawn wins a tie.
+                a0, a1 = rng.integers(0, P), rng.integers(0, P)
+                b0, b1 = rng.integers(0, P), rng.integers(0, P)
+                p2 = pop[b0 if f[b0] >= f[b1] else b1]
+                child = new[i]
+                child[:] = pop[a0 if f[a0] >= f[a1] else a1]
                 if rng.random() < ga.crossover_rate:
-                    mask = rng.random(n_users) < 0.5
-                    child[mask] = p2[mask]
+                    np.copyto(child, p2, where=rng.random(n_users) < 0.5)
                 mut = rng.random(n_users) < ga.mutation_rate
-                if mut.any():
-                    child[mut] = rng.integers(0, sizes)[mut]
-                new.append(child)
-            pop = np.stack(new)
-            for i in range(ga.population):
-                score(i)
+                if np.count_nonzero(mut):
+                    np.copyto(child, rng.integers(0, sizes), where=mut)
+            pop, new = new, pop
+            choices = [problem.repair(genome) for genome in pop]
+            fitness = problem.evaluate_batch(choices)[0]
 
         best = int(np.argmax(fitness))
         return float(fitness[best]), choices[best]

@@ -166,6 +166,20 @@ def half_power_semiangle_to_order(phi_half: float) -> float:
     return -math.log(2.0) / math.log(c)
 
 
+def check_filter_index(scene: Scene, filter_index: int) -> None:
+    """Raise :class:`InvalidParameterError` unless the scene has receiver filter ``filter_index``.
+
+    Checked where a map build or an association takes its filter, not per
+    gain vector: :func:`gain_vector` indexes the filter matrix unchecked.
+    """
+    n_filters = scene.filter_matrix.shape[1]
+    if not 0 <= filter_index < n_filters:
+        raise InvalidParameterError(
+            f"filter index {filter_index} is not one of the scene's {n_filters} filters "
+            f"(0 to {n_filters - 1})"
+        )
+
+
 def gain_vector(
     scene: Scene, rx_position: np.ndarray, rx_filter_index: int
 ) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scene, gain_vector
+from .channel import Scene, check_filter_index, gain_vector
 from .cpgd import DecodingOrder, greedy_order, outage_order
 from .errors import ConfigError
 from .rates import (
@@ -136,6 +136,7 @@ def build_map(
     Each cell's model comes from :func:`model_at_position`, as a direct
     solve's does, so map cells equal direct solves at their positions.
     """
+    check_filter_index(scene, filter_index)
     xs, ys = scene.plane.grid()
     z = scene.plane.height
     cells: list[MapCell] = []

@@ -22,7 +22,7 @@ from .assoc import (
     sum_rate,
     user_rates,
 )
-from .channel import Scene
+from .channel import Scene, check_filter_index
 from .decmap import (
     DecodingMap,
     build_map,
@@ -128,6 +128,8 @@ def user_grid(anchor, n_x: int = 4, n_y: int = 4, plane: str = "xy"):
 def _solver(scene: Scene, table: LayerTable, cfg: AssocExperimentConfig, dmap):
     """Map lookup when a map is given, direct greedy solves otherwise."""
     if dmap is not None:
+        # Refinement builds the users' models at cfg.filter_index all the same.
+        check_filter_index(scene, cfg.filter_index)
         return MapLookupSolver(dmap)
     return DirectSolver(scene, table, cfg.filter_index, cfg.tau)
 

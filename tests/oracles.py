@@ -4,7 +4,9 @@ Everything here is deliberately written the slow, obvious way (per-link
 gains, quadrature, explicit covariance algebra, brute-force enumeration)
 so that agreement with the fast closed forms in the package is meaningful.
 The GA's per-genome fitness and conflict repair are kept here as the loops
-the array-based ``_AssignmentProblem`` methods must equal bit for bit.
+the array-based ``_AssignmentProblem`` methods must equal bit for bit, and
+so is the GA driver that repairs and scores one genome at a time as it
+breeds them: ``solve_association`` must follow its trajectory exactly.
 The reflection relabeling of the transmitter array is the symmetry
 reference: greedy orders at mirrored positions must be its relabelings,
 and a map rebuilt from its 1/8 wedge must equal the directly solved map.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -455,8 +458,15 @@ def exhaustive_assignments(candidates: dict[int, list[int]]):
 # GA association: per-genome fitness and conflict repair
 
 
+# Each problem's candidate rows, rebuilt once from its decoding orders.
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _candidate_row(problem, j: int, c: int) -> np.ndarray:
-    return local_rate_vector(problem.orders[j], problem.table, problem.candidates[j][c])
+    rows = _ROWS.setdefault(problem, {})
+    if (j, c) not in rows:
+        rows[j, c] = local_rate_vector(problem.orders[j], problem.table, problem.candidates[j][c])
+    return rows[j, c]
 
 
 def assignment_evaluate(problem, choice: dict[int, int]) -> tuple[float, np.ndarray]:
@@ -504,6 +514,60 @@ def assignment_repair(problem, genome: np.ndarray) -> dict[int, int]:
         used.add(cands[c])
         choice[j] = c
     return choice
+
+
+def ga_reference_solve(problem, ga) -> tuple[float, dict[int, int]]:
+    """Per-genome GA loop: the trajectory reference for ``solve_association``.
+
+    Each genome is repaired by :func:`assignment_repair` and scored by
+    :func:`assignment_evaluate` (``-inf`` when nothing is served) as soon as
+    it is bred; each tournament draws both contestants in one call and the
+    first of two equal fitnesses wins.  Returns the best restart's
+    objective and choice, before any brute-force cross-check.
+    """
+    n_users = len(problem.candidates)
+    sizes = np.array([max(len(c), 1) for c in problem.candidates])
+
+    def one_run(rng: np.random.Generator) -> tuple[float, dict[int, int]]:
+        pop = np.stack([rng.integers(0, sizes) for _ in range(ga.population)])
+        fitness = np.empty(ga.population)
+        choices: list[dict[int, int]] = [{}] * ga.population
+
+        def score(i: int) -> None:
+            choices[i] = assignment_repair(problem, pop[i])
+            fitness[i] = assignment_evaluate(problem, choices[i])[0] if choices[i] else -math.inf
+
+        for i in range(ga.population):
+            score(i)
+        for _ in range(ga.generations):
+            elite = np.argsort(-fitness, kind="stable")[: ga.elitism]
+            new = [pop[e].copy() for e in elite]
+            new.extend(rng.integers(0, sizes) for _ in range(ga.immigrants))
+            while len(new) < ga.population:
+                a = rng.integers(0, ga.population, 2)
+                b = rng.integers(0, ga.population, 2)
+                p1 = pop[a[np.argmax(fitness[a])]]
+                p2 = pop[b[np.argmax(fitness[b])]]
+                child = p1.copy()
+                if rng.random() < ga.crossover_rate:
+                    mask = rng.random(n_users) < 0.5
+                    child[mask] = p2[mask]
+                mut = rng.random(n_users) < ga.mutation_rate
+                if mut.any():
+                    child[mut] = rng.integers(0, sizes)[mut]
+                new.append(child)
+            pop = np.stack(new)
+            for i in range(ga.population):
+                score(i)
+        best = int(np.argmax(fitness))
+        return float(fitness[best]), choices[best]
+
+    val, choice = -math.inf, None
+    for r in range(ga.restarts):
+        run_val, run_choice = one_run(np.random.default_rng((ga.seed, r)))
+        if run_val > val:
+            val, choice = run_val, run_choice
+    return val, choice
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from oracles import (
     assignment_evaluate,
     assignment_repair,
     exhaustive_assignments,
+    ga_reference_solve,
     margin_increments,
 )
 from test_decmap import SMALL_SCENE_YAML
@@ -207,28 +208,52 @@ def window_problem(benchmark_scene, benchmark_table, benchmark_map):
 
 
 class TestProblemMatchesOracles:
-    """The array-based ``evaluate`` and ``repair`` equal their loop references."""
+    """The array-based problem methods and GA driver equal their loop references."""
 
     @pytest.fixture(params=["corner_problem", "window_problem"])
     def case(self, request):
         _, table, solver, users = request.getfixturevalue(request.param)
         return table, solver, users, _AssignmentProblem(solver, table, users)
 
+    @staticmethod
+    def random_choice(problem, rng, serve_all: bool) -> dict[int, int]:
+        """A per-user candidate choice; unless ``serve_all``, some users are skipped."""
+        active = np.array(problem.active)
+        keep = active if serve_all else active[rng.random(active.size) < 0.6]
+        return {int(j): int(rng.integers(len(problem.candidates[j]))) for j in keep}
+
     def test_evaluate(self, case, rng):
         *_, problem = case
-        active = np.array(problem.active)
         for trial in range(60):
             # Every third choice serves all active users; the rest skip some.
-            keep = active if trial % 3 == 0 else active[rng.random(active.size) < 0.6]
-            choice = {
-                int(j): int(rng.integers(len(problem.candidates[j]))) for j in keep
-            }
+            choice = self.random_choice(problem, rng, trial % 3 == 0)
             if not choice:
                 continue
             got_obj, got_rbar = problem.evaluate(choice)
             want_obj, want_rbar = assignment_evaluate(problem, choice)
             assert got_obj == want_obj
             np.testing.assert_array_equal(got_rbar, want_rbar)
+
+    def test_evaluate_batch(self, case, rng):
+        *_, problem = case
+        # Full choices, choices that skip users as repair's fallback does, and
+        # empty ones, mixed in one batch.
+        choices = [self.random_choice(problem, rng, trial % 3 == 0) for trial in range(64)]
+        choices[5] = choices[40] = {}
+        objectives, rbars = problem.evaluate_batch(choices)
+        assert objectives.shape == (64,)
+        assert rbars.shape == (64, problem.table.n_layers)
+        for choice, got_obj, got_rbar in zip(choices, objectives, rbars):
+            if not choice:
+                assert got_obj == -np.inf
+                assert np.all(got_rbar == np.inf)
+                continue
+            want_obj, want_rbar = assignment_evaluate(problem, choice)
+            assert got_obj == want_obj
+            assert got_rbar.tobytes() == want_rbar.tobytes()
+        # Each choice scores as it does alone.
+        for choice, obj in zip(choices[:8], objectives):
+            assert problem.evaluate(choice)[0] == obj
 
     def test_repair(self, case, rng):
         *_, problem = case
@@ -247,15 +272,20 @@ class TestProblemMatchesOracles:
         assert fallbacks > 0
 
     def test_solve_association(self, case, monkeypatch):
-        table, solver, users, _ = case
-        cfg = GAConfig(population=16, generations=5, seed=4)
-        fast = solve_association(solver, users, table, cfg)
-        monkeypatch.setattr(_AssignmentProblem, "evaluate", assignment_evaluate)
-        monkeypatch.setattr(_AssignmentProblem, "repair", assignment_repair)
-        slow = solve_association(solver, users, table, cfg)
-        np.testing.assert_array_equal(fast.assignment, slow.assignment)
-        assert fast.objective == slow.objective
-        assert fast.rbar.tobytes() == slow.rbar.tobytes()
+        # The batched driver follows the per-genome loop's trajectory exactly;
+        # without the brute-force cross-check the GA's answer is returned.
+        table, solver, users, problem = case
+        monkeypatch.setattr(GAConfig, "exhaustive_limit", 0)
+        for population, generations in ((16, 5), (24, 9)):
+            for seed in (0, 4, 11):
+                cfg = GAConfig(population=population, generations=generations, seed=seed)
+                got = solve_association(solver, users, table, cfg)
+                val, choice = ga_reference_solve(problem, cfg)
+                want_obj, want_rbar = assignment_evaluate(problem, choice)
+                assert val == want_obj
+                np.testing.assert_array_equal(got.assignment, problem.to_assignment(choice))
+                assert got.objective == want_obj
+                assert got.rbar.tobytes() == want_rbar.tobytes()
 
 
 class TestExhaustiveAssociation:

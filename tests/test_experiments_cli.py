@@ -391,6 +391,58 @@ class TestCli:
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["assoc", "solve", "--anchor", "0.1", "0"],
+            ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0"],
+        ],
+        ids=["assoc-solve", "sweep-run"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, command):
+        out = tmp_path / "o"
+        res = self.runner.invoke(main, command + [
+            "--population", "16", "--generations", "3", "--seed", "-1", "--out", str(out),
+        ])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "seed -1" in res.output
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "n_filters"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["map", "build", "--no-reduce"],
+            ["assoc", "solve", "--anchor", "0.1", "0", "--population", "16",
+             "--generations", "3"],
+            ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0",
+             "--population", "16", "--generations", "3"],
+        ],
+        ids=["map-build", "assoc-solve", "sweep-run"],
+    )
+    def test_filter_outside_the_scene_is_config_error(
+        self, benchmark_scene, tmp_path, command, past_end
+    ):
+        n_filters = benchmark_scene.filter_matrix.shape[1]
+        out = tmp_path / "o"
+        res = self.runner.invoke(main, command + [
+            "--filter", str(n_filters if past_end else -1), "--out", str(out),
+        ])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert f"{n_filters} filters" in res.output
+        assert not list(out.glob("*"))
+
+    def test_filter_outside_the_scene_on_a_map_is_config_error(self, benchmark_map, tmp_path):
+        path = tmp_path / "map.json"
+        save_map(benchmark_map, path)
+        res = self.runner.invoke(main, [
+            "assoc", "solve", "--map", str(path), "--anchor", "0.1", "0", "--filter", "9",
+            "--population", "16", "--generations", "3",
+        ])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize(
         "option",
         [
             ["--step", "0"],
