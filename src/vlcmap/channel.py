@@ -170,7 +170,7 @@ def check_filter_index(scene: Scene, filter_index: int) -> None:
     """Raise :class:`InvalidParameterError` unless the scene has receiver filter ``filter_index``.
 
     Checked where a map build or an association takes its filter, not per
-    gain vector: :func:`gain_vector` indexes the filter matrix unchecked.
+    gain vector: :func:`gain_vectors` indexes the filter matrix unchecked.
     """
     n_filters = scene.filter_matrix.shape[1]
     if not 0 <= filter_index < n_filters:
@@ -180,24 +180,28 @@ def check_filter_index(scene: Scene, filter_index: int) -> None:
         )
 
 
-def gain_vector(
-    scene: Scene, rx_position: np.ndarray, rx_filter_index: int
+def gain_vectors(
+    scene: Scene, rx_positions: np.ndarray, rx_filter_index: int
 ) -> np.ndarray:
-    """Per-transmitter gains at one position, with negligible gains zeroed.
+    """Per-transmitter gains at each of n positions, (n, N_t), negligible gains zeroed.
 
     Zero outside the FOV cone; includes the color-through-filter gain and the
-    idealized concentrator gain n^2 / sin^2(fov).  A position that is not
-    finite or coincides with a transmitter raises :class:`GeometryError`.
+    idealized concentrator gain n^2 / sin^2(fov).  Each row is zeroed below
+    ``NEGLIGIBLE_GAIN_RATIO`` times its own strongest gain.  A position that
+    is not finite or coincides with a transmitter raises
+    :class:`GeometryError` naming it.
     """
-    rx = np.asarray(rx_position, dtype=float)
+    rx = np.asarray(rx_positions, dtype=float)
     if not np.isfinite(rx).all():
-        raise GeometryError(f"receiver position {rx.tolist()} is not finite")
-    delta = rx[None, :] - scene.tx_positions
-    dist2 = np.einsum("ij,ij->i", delta, delta)
-    if np.any(dist2 == 0.0):
-        raise GeometryError("receiver coincides with a transmitter")
+        bad = rx[~np.isfinite(rx).all(axis=1)][0]
+        raise GeometryError(f"receiver position {bad.tolist()} is not finite")
+    delta = rx[:, None, :] - scene.tx_positions
+    dist2 = np.einsum("nij,nij->ni", delta, delta)
+    if (dist2 == 0.0).any():
+        bad = rx[(dist2 == 0.0).any(axis=1)][0]
+        raise GeometryError(f"receiver position {bad.tolist()} coincides with a transmitter")
     dist = np.sqrt(dist2)
-    cos_ang = delta[:, 2] / dist
+    cos_ang = delta[..., 2] / dist
     t_s = scene.filter_matrix[scene.tx_color, rx_filter_index]
     m1 = scene.lambertian_order
     conc = scene.refractive_index**2 / math.sin(scene.fov) ** 2
@@ -207,7 +211,13 @@ def gain_vector(
             * np.power(np.clip(cos_ang, 0.0, None), m1) * t_s * conc * cos_ang
         )
     gains[cos_ang < math.cos(scene.fov)] = 0.0
-    peak = gains.max(initial=0.0)
-    if peak > 0.0:
-        gains[gains < NEGLIGIBLE_GAIN_RATIO * peak] = 0.0
+    peak = gains.max(axis=1, initial=0.0, keepdims=True)
+    gains[(peak > 0.0) & (gains < NEGLIGIBLE_GAIN_RATIO * peak)] = 0.0
     return gains
+
+
+def gain_vector(
+    scene: Scene, rx_position: np.ndarray, rx_filter_index: int
+) -> np.ndarray:
+    """Per-transmitter gains at one position: :func:`gain_vectors` on a batch of one."""
+    return gain_vectors(scene, np.asarray(rx_position, dtype=float)[None], rx_filter_index)[0]

@@ -80,8 +80,10 @@ def _assoc_options(fn):
         click.option("--scene", "scene_path", type=click.Path(exists=True), default=None),
         click.option("--map", "map_path", type=click.Path(exists=True), default=None,
                      help="Serve decoding orders from this prebuilt map."),
-        click.option("--filter", "filter_index", type=int, default=0, show_default=True),
-        click.option("--tau", type=int, default=1, show_default=True),
+        click.option("--filter", "filter_index", type=int, default=None,
+                     help="Receiver filter index  [default: the map's, or 0]"),
+        click.option("--tau", type=int, default=None,
+                     help="Maximum decoding-group size  [default: the map's, or 1]"),
         click.option("--layers", type=int, default=None),
         click.option("--seed", type=int, default=0, show_default=True),
         click.option("--population", type=int, default=64, show_default=True),
@@ -94,12 +96,18 @@ def _assoc_options(fn):
 
 def _assoc_setup(scene_path, map_path, filter_index, tau, layers, seed, population,
                  generations, refine=True):
-    """Scene spec, map (or None) and association config from the shared options."""
+    """Scene spec, map (or None) and association config from the shared options.
+
+    An unset filter or tau is the map's own, or the config default without a
+    map; an explicit one that differs from the map's fails when the run
+    starts (:meth:`DecodingMap.check_run`).
+    """
     spec = _load_spec(scene_path, layers)
     dmap = _load_scene_map(map_path, spec.scene)
+    unset = AssocExperimentConfig() if dmap is None else dmap
     cfg = AssocExperimentConfig(
-        filter_index=filter_index,
-        tau=tau,
+        filter_index=unset.filter_index if filter_index is None else filter_index,
+        tau=unset.tau if tau is None else tau,
         layers_per_tx=spec.layers_per_tx,
         ga=GAConfig(population=population, generations=generations, seed=seed),
         refine=refine,

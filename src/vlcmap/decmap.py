@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scene, check_filter_index, gain_vector
+from .channel import Scene, check_filter_index, gain_vectors
 from .cpgd import DecodingOrder, greedy_order, outage_order
 from .errors import ConfigError
 from .rates import (
     _candidates,
     _set_margins,
     _stage_rates,
-    model_at_position,
+    model_at,
     subsets_in_bitmask_order,
 )
 from .signaling import LayerTable
@@ -90,6 +90,22 @@ class DecodingMap:
             raise ConfigError(f"position ({x}, {y}) is not a sample of the map")
         return cell
 
+    def check_run(
+        self, n_layers: int, filter_index: int | None = None, tau: int | None = None
+    ) -> None:
+        """Raise :class:`ConfigError` unless a run's settings are the map's own.
+
+        The run's layer count, and its filter index and tau where given,
+        must equal those the map was built with.
+        """
+        for name, run, own in (
+            ("layer count", n_layers, self.n_layers),
+            ("filter index", filter_index, self.filter_index),
+            ("tau", tau, self.tau),
+        ):
+            if run is not None and run != own:
+                raise ConfigError(f"the run's {name} {run} differs from the map's {own}")
+
     @property
     def n_active(self) -> int:
         return sum(not c.order.outage for c in self.cells)
@@ -133,18 +149,18 @@ def build_map(
 ) -> DecodingMap:
     """Solve the greedy order at every sample position of the receiver plane.
 
-    Each cell's model comes from :func:`model_at_position`, as a direct
-    solve's does, so map cells equal direct solves at their positions.
+    The whole grid's gains come from one :func:`gain_vectors` call, and each
+    cell's model is built from its row as :func:`model_at_position` builds a
+    direct solve's, so map cells equal direct solves at their positions.
     """
     check_filter_index(scene, filter_index)
     xs, ys = scene.plane.grid()
     z = scene.plane.height
+    positions = [(float(x), float(y), z) for x in xs for y in ys]
     cells: list[MapCell] = []
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            pos = (float(x), float(y), z)
-            model = model_at_position(scene, table, pos, filter_index)
-            cells.append(MapCell(ix, iy, pos, greedy_order(model, tau=tau)))
+    for i, (pos, g) in enumerate(zip(positions, gain_vectors(scene, positions, filter_index))):
+        model = model_at(table, g, scene.sigma**2, table.tiebreak)
+        cells.append(MapCell(*divmod(i, ys.size), pos, greedy_order(model, tau=tau)))
     return DecodingMap(
         scene_hash=scene_fingerprint(scene),
         filter_index=filter_index,
@@ -196,35 +212,48 @@ def _distance_matrix(
     get zero rate, and destination layers the sequence never decodes stay
     zero in the mimicking vector, so the distance is finite even when the
     two cells detect different layer sets.
+
+    The pass runs layer-major, on ``(L, n)`` arrays, so a sequence's layers
+    are contiguous rows and one buffer of ``ref - mimic`` serves every
+    sequence.  The stage chains are a cumsum down the rows, the same
+    sequential sums a cell-major cumsum takes.  Each cell's squared
+    differences are summed from a cell-major copy, the pairwise sum
+    :func:`numpy.linalg.norm` takes over a row, so every distance equals
+    the cell-major norm's bit for bit.
     """
     n = len(orders)
     L = table.n_layers
-    pw = layer_gains**2 * table.var          # (n, L)
+    pw_t = np.ascontiguousarray((layer_gains**2 * table.var).T)  # (L, n)
     ref = np.zeros((n, L))
     for r, o in enumerate(orders):
         idx = list(o.detectable)
         ref[r, idx] = o.rates[idx]
     ref_norm = np.linalg.norm(ref, axis=1)
+    ref_t = np.ascontiguousarray(ref.T)
+    diff_t = np.empty((L, n))
     log_nu2 = np.log(table.nu**2)
     var = table.var
     phi = table.phi
     out = np.empty((len(sequences), n))
     for s, groups in enumerate(sequences):
         seq = [k for g in groups for k in g]  # decode order, stage 0 first
-        p = pw[:, seq]
-        suffix = np.concatenate(
-            [np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((n, 1))], axis=1
-        )
+        p = pw_t[seq]
+        # chain[m]: the power of stages m.. at every destination.
+        chain = np.cumsum(p[::-1], axis=0)[::-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             if len(seq) == len(groups):  # one layer per stage
-                vals = _stage_rates(log_nu2[seq], var[seq], phi[seq], p, p + suffix + noise_var)
+                vals = _stage_rates(
+                    log_nu2[seq, None], var[seq, None], phi[seq, None], p, chain + noise_var
+                )
             else:
-                vals = _group_rates(groups, pw, suffix + noise_var, log_nu2, var, phi)
+                rest = np.concatenate([chain[1:], np.zeros((1, n))]) + noise_var
+                vals = _group_rates(groups, pw_t.T, rest.T, log_nu2, var, phi).T
         np.maximum(vals, 0.0, out=vals)
         vals[p == 0.0] = 0.0
-        mimic = np.zeros((n, L))
-        mimic[:, seq] = vals
-        diff = np.linalg.norm(ref - mimic, axis=1)
+        np.copyto(diff_t, ref_t)
+        diff_t[seq] -= vals
+        np.square(diff_t, out=diff_t)
+        diff = np.sqrt(np.add.reduce(np.ascontiguousarray(diff_t.T), axis=1))
         with np.errstate(invalid="ignore", divide="ignore"):
             out[s] = np.where(
                 ref_norm > 0.0, diff / ref_norm, np.where(diff == 0.0, 0.0, np.inf)
@@ -256,18 +285,20 @@ def reduce_map(dmap: DecodingMap, scene: Scene, table: LayerTable) -> list[list[
     distance exceeds ``TAU_LOSS``, members whose average distance is within
     ``TAU_DIFF`` of the current head's are split off together, iterating
     until the category count stabilizes.  Each cell's gains are taken at its
-    own sample position; ``scene`` must be the one the map was built from.
+    own sample position; ``scene`` must be the one the map was built from,
+    and a ``table`` of another layer count raises :class:`ConfigError`.
     Returns the clusters as lists of cell indices (row-major) and stores
     labels on the map.
     """
+    dmap.check_run(table.n_layers)
     members = [c for c, cell in enumerate(dmap.cells) if not cell.order.outage]
     if not members:
         return []
     cells = [dmap.cells[c] for c in members]
     orders = [cell.order for cell in cells]
-    layer_gains = np.stack(
-        [gain_vector(scene, cell.position, dmap.filter_index)[table.tx] for cell in cells]
-    )
+    layer_gains = gain_vectors(scene, [cell.position for cell in cells], dmap.filter_index)[
+        :, table.tx
+    ]
     order_id, sequences = _order_ids(orders)
     dist = _distance_matrix(sequences, orders, layer_gains, table, scene.sigma**2)
     clusters = [[members[r] for r in cat] for cat in _peel_categories(dist, order_id)]
@@ -347,7 +378,9 @@ def save_map(dmap: DecodingMap, path) -> None:
         "cells": [{"cluster": c.cluster, **_order_payload(c.order)} for c in dmap.cells],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        # One json.dumps call runs the C encoder; json.dump streams through
+        # the pure-Python one.  The bytes are the same.
+        fh.write(json.dumps(payload))
 
 
 def _field(record: dict, key: str, *types):

@@ -126,8 +126,12 @@ def user_grid(anchor, n_x: int = 4, n_y: int = 4, plane: str = "xy"):
 
 
 def _solver(scene: Scene, table: LayerTable, cfg: AssocExperimentConfig, dmap):
-    """Map lookup when a map is given, direct greedy solves otherwise."""
+    """Map lookup when a map is given, direct greedy solves otherwise.
+
+    A map must have been built with the run's layer count, filter and tau.
+    """
     if dmap is not None:
+        dmap.check_run(table.n_layers, cfg.filter_index, cfg.tau)
         # Refinement builds the users' models at cfg.filter_index all the same.
         check_filter_index(scene, cfg.filter_index)
         return MapLookupSolver(dmap)
@@ -251,8 +255,6 @@ def run_sweep_experiment(
     and direct greedy solves otherwise.  An anchor whose users are all in
     outage gets a row with nobody served and no ``converged`` flag.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     acfg = cfg.assoc
     table = build_layer_set(scene, acfg.layers_per_tx)
     solver = _solver(scene, table, acfg, dmap)
@@ -278,6 +280,8 @@ def run_sweep_experiment(
         row.update((k, v) for k, v in record.items() if k in SWEEP_COLUMNS)
         rows.append(row)
 
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_rows = [",".join(SWEEP_COLUMNS)]
     for r in rows:
         converged = "" if r["converged"] is None else int(r["converged"])

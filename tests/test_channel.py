@@ -10,6 +10,7 @@ from vlcmap.channel import (
     derive_spectrum,
     filter_gain_matrix,
     gain_vector,
+    gain_vectors,
     half_power_semiangle_to_order,
 )
 from vlcmap.errors import GeometryError, InvalidParameterError
@@ -128,6 +129,48 @@ class TestLinkGain:
         # Reflecting x swaps the two position rows; colors stay aligned.
         perm = np.concatenate([np.arange(8, 16), np.arange(0, 8)])
         np.testing.assert_array_equal(g_mirror, g[perm])
+
+
+# Two transmitters 2 m apart with a steep beam: below one of them, the other's
+# gain falls under NEGLIGIBLE_GAIN_RATIO times the peak near z = 1.65 m.
+STEEP_PAIR = grid_scene(2, 1, spacing_x=2.0, colors_per_position=(0,),
+                        lambertian_order=60.0, fov=math.radians(89.0))
+BATCH_SCENES = {"steep": STEEP_PAIR, "fov30": grid_scene(2, 2)}
+
+
+class TestGainVectors:
+    @given(
+        name=st.sampled_from(sorted(BATCH_SCENES)),
+        positions=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.floats(1.5, 1.9)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_rows_equal_single_calls_bit_for_bit(self, name, positions):
+        # The steep pair puts rows on either side of the negligible-gain
+        # cutoff; the 30-degree scene puts rows outside the FOV cone.
+        scene = BATCH_SCENES[name]
+        batch = gain_vectors(scene, positions, 0)
+        assert batch.shape == (len(positions), scene.n_tx)
+        for row, p in zip(batch, positions):
+            assert row.tobytes() == gain_vector(scene, p, 0).tobytes()
+
+    def test_batches_reach_both_sides_of_the_cutoff(self):
+        rows = gain_vectors(STEEP_PAIR, [(-1.0, 0.0, 1.6), (-1.0, 0.0, 1.7)], 0)
+        assert rows[0, 1] == 0.0 < rows[1, 1]
+        outside = gain_vectors(BATCH_SCENES["fov30"], [(3.0, 0.0, 1.5)], 0)
+        assert not outside.any()
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 2.0), (0.0, 0.0, np.inf), "on-tx"])
+    def test_one_bad_position_fails_the_batch(self, bad):
+        scene = grid_scene(2, 2)
+        if bad == "on-tx":
+            bad, match = tuple(scene.tx_positions[3]), "coincides"
+        else:
+            match = "not finite"
+        with pytest.raises(GeometryError, match=match) as info:
+            gain_vectors(scene, [(0.1, 0.0, 2.0), bad, (0.3, 0.0, 2.0)], 0)
+        assert str(list(map(float, bad))) in str(info.value)
 
 
 class TestLambertianOrder:

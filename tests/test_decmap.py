@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -221,6 +222,21 @@ class TestSaveLoad:
             assert a.order.outage == b.order.outage
             if not a.order.outage:
                 np.testing.assert_array_equal(a.order.rates, b.order.rates)
+
+    @pytest.mark.parametrize("name", ["benchmark", "tau2"])
+    def test_save_load_save_is_byte_identical(self, name, benchmark_scene, benchmark_table,
+                                              benchmark_map, tmp_path):
+        if name == "benchmark":
+            scene, table, dmap = benchmark_scene, benchmark_table, copy.deepcopy(benchmark_map)
+        else:
+            scene = reference_scene(1, 2, spacing_x=0.6, spacing_y=0.6, sample_gap=0.4)
+            table = build_layer_set(scene, 2)
+            dmap = build_map(scene, table, 0, tau=2)
+        assert reduce_map(dmap, scene, table)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_map(dmap, first)
+        save_map(load_map(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.fixture()
     def saved(self, benchmark_map, tmp_path):

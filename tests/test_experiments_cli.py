@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from vlcmap import experiments
 from vlcmap.assoc import DirectSolver, GAConfig, MapLookupSolver, solve_association
 from vlcmap.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
-from vlcmap.decmap import save_map
+from vlcmap.decmap import load_map, save_map
 from vlcmap.experiments import (
     AssocExperimentConfig,
     MapExperimentConfig,
@@ -441,6 +441,63 @@ class TestCli:
         ])
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "Traceback" not in res.output
+
+    @pytest.fixture()
+    def small_map(self, tmp_path):
+        """A filter 1, tau 2 map of ``SMALL_SCENE_YAML``, and two of its lit samples as users."""
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(SMALL_SCENE_YAML)
+        res = self.runner.invoke(main, [
+            "map", "build", "--scene", str(scene), "--filter", "1", "--tau", "2",
+            "--out", str(tmp_path / "m"),
+        ])
+        assert res.exit_code == 0, res.output
+        path = tmp_path / "m" / "map.json"
+        lit = [c.position for c in load_map(path).cells if not c.order.outage]
+        users = tmp_path / "users.csv"
+        users.write_text("".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in (lit[0], lit[-1])))
+        return scene, path, users
+
+    @pytest.mark.parametrize("explicit", [[], ["--filter", "1", "--tau", "2"]],
+                             ids=["unset", "explicit"])
+    def test_a_map_run_takes_filter_and_tau_from_the_map(self, small_map, tmp_path, explicit):
+        scene, path, users = small_map
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "assoc", "solve", "--scene", str(scene), "--map", str(path), "--users", str(users),
+            *explicit, "--no-refine", "--population", "16", "--generations", "3",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        params = json.loads((out / "run.json").read_text())["params"]
+        assert (params["filter_index"], params["tau"], params["map_lookup"]) == (1, 2, True)
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c in ("assoc-solve", "sweep-run") for o in ("--filter", "--tau", "--layers")]
+        + [("map-reduce", "--layers")],
+    )
+    def test_settings_that_differ_from_the_map_are_config_errors(
+        self, small_map, tmp_path, command, option
+    ):
+        # The map has filter 1, tau 2 and two layers per transmitter.
+        option = [option, {"--filter": "0", "--tau": "1", "--layers": "3"}[option]]
+        scene, path, users = small_map
+        before = path.read_bytes()
+        out = tmp_path / "out"
+        args = {
+            "assoc-solve": ["assoc", "solve", "--users", str(users)],
+            "sweep-run": ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0"],
+            "map-reduce": ["map", "reduce"],
+        }[command] + option + ["--scene", str(scene), "--map", str(path)]
+        if command != "map-reduce":
+            args += ["--population", "16", "--generations", "3", "--out", str(out)]
+        res = self.runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "differs from the map's" in res.output
+        assert not out.exists()
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize(
         "option",
