@@ -60,7 +60,11 @@ def _fail(code: int, message: str) -> None:
 
 
 def _exits(fn):
-    """Run a command, exiting with the documented code on a package error."""
+    """Run a command, exiting with the documented code on a package error.
+
+    A file that cannot be read or written (an ``--out`` under a missing
+    directory or a file, say) is an input error too.
+    """
 
     @functools.wraps(fn)
     def run(*args, **kwargs):
@@ -68,7 +72,7 @@ def _exits(fn):
             fn(*args, **kwargs)
         except InfeasibleError as exc:
             _fail(EXIT_INFEASIBLE, str(exc))
-        except VlcError as exc:
+        except (VlcError, OSError) as exc:
             _fail(EXIT_CONFIG, str(exc))
 
     return run

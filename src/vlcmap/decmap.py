@@ -289,6 +289,11 @@ def reduce_map(dmap: DecodingMap, scene: Scene, table: LayerTable) -> list[list[
     and a ``table`` of another layer count raises :class:`ConfigError`.
     Returns the clusters as lists of cell indices (row-major) and stores
     labels on the map.
+
+    Distances are held as one row per distinct decoding order
+    (:func:`_distance_matrix`) and the peel averages one row per distinct
+    order (:func:`_peel_categories`), so peak memory is O(distinct orders x
+    active cells), never O(active cells²).
     """
     dmap.check_run(table.n_layers)
     members = [c for c, cell in enumerate(dmap.cells) if not cell.order.outage]
@@ -308,6 +313,20 @@ def reduce_map(dmap: DecodingMap, scene: Scene, table: LayerTable) -> list[list[
     return clusters
 
 
+def _order_averages(
+    dist: np.ndarray, order_id: np.ndarray, cells
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average distance to ``cells`` of each distinct order among them.
+
+    Returns the averages, one per distinct order, and each cell's index into
+    them.  Cells that share an order share a row of ``dist``, so one row mean
+    per order serves them all and the gather is (orders x cells), not
+    (cells x cells).
+    """
+    uniq, inv = np.unique(order_id[cells], return_inverse=True)
+    return dist[np.ix_(uniq, cells)].mean(axis=1), inv
+
+
 def _peel_categories(dist: np.ndarray, order_id: np.ndarray) -> list[list[int]]:
     """The iterative split pass of the size reduction.
 
@@ -315,33 +334,43 @@ def _peel_categories(dist: np.ndarray, order_id: np.ndarray) -> list[list[int]]:
     :func:`_distance_matrix`).  While a category's maximum average distance
     exceeds ``TAU_LOSS``, the remaining members whose average distances tie
     with the current head's within ``TAU_DIFF`` peel off as a new category;
-    the outer loop repeats until the category count stops changing.
+    the outer loop repeats until the category count stops changing.  A
+    category that passes the ``TAU_LOSS`` test is final and is not averaged
+    again.
+
+    Averages are taken once per distinct order (:func:`_order_averages`),
+    each the same row mean over the same values as a per-cell average, so
+    the working set is O(distinct orders x cells) rather than O(cells²).
     """
-    cats: list[list[int]] = [list(range(order_id.size))]
+    # Each category with whether it has passed the TAU_LOSS test.
+    cats: list[tuple[list[int], bool]] = [(list(range(order_id.size)), False)]
     while True:
-        new: list[list[int]] = []
-        for cat in cats:
-            avg = dist[np.ix_(order_id[cat], cat)].mean(axis=1)
-            if avg.max() <= TAU_LOSS:
-                new.append(cat)
+        new: list[tuple[list[int], bool]] = []
+        for cat, final in cats:
+            if final:
+                new.append((cat, True))
+                continue
+            means, inv = _order_averages(dist, order_id, cat)
+            if means.max() <= TAU_LOSS:
+                new.append((cat, True))
                 continue
             # The remaining members (cell ids) and their averages, in step.
             rem = np.array(cat)
+            avg = means[inv]
             while rem.size:
                 grp = np.abs(avg[0] - avg) < TAU_DIFF
-                if grp.all() and rem.size > 1:
-                    sub = dist[np.ix_(order_id[rem], rem)]
-                    if sub.mean(axis=1).max() > TAU_LOSS:
-                        # Mirror-image cells have exactly equal average
-                        # distances and stall the tie peel; fall back to
-                        # keeping the head's TAU_LOSS-ball together.  The
-                        # head always peels, so every pass shrinks ``rem``.
-                        grp = dist[order_id[rem[0]], rem] <= TAU_LOSS
-                        grp[0] = True
-                new.append(rem[grp].tolist())
+                if (grp.all() and rem.size > 1
+                        and _order_averages(dist, order_id, rem)[0].max() > TAU_LOSS):
+                    # Mirror-image cells have exactly equal average distances
+                    # and stall the tie peel; fall back to keeping the head's
+                    # TAU_LOSS-ball together.  The head always peels, so
+                    # every pass shrinks ``rem``.
+                    grp = dist[order_id[rem[0]], rem] <= TAU_LOSS
+                    grp[0] = True
+                new.append((rem[grp].tolist(), False))
                 rem, avg = rem[~grp], avg[~grp]
         if len(new) == len(cats):
-            return new
+            return [cat for cat, _ in new]
         cats = new
 
 

@@ -15,7 +15,8 @@ enumerate the candidate sets one at a time: the greedy order, the set
 margin and the margin-greedy pass of the rate update, and the normalized
 distance of the map's size reduction.  The size reduction's distance matrix
 has a per-cell reference too, one row per source cell, which the matrix of
-one row per distinct decoding order must equal once expanded.
+one row per distinct decoding order must equal once expanded; its peel has
+a reference that averages one row per cell, over a cells x cells gather.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.integrate import quad
 from vlcmap.assoc import local_rate_vector
 from vlcmap.channel import Scene, gain_vector
 from vlcmap.cpgd import TIE_RTOL, DecodingOrder, outage_order
-from vlcmap.decmap import _group_rates
+from vlcmap.decmap import TAU_DIFF, TAU_LOSS, _group_rates
 from vlcmap.errors import GeometryError, InvalidParameterError
 from vlcmap.rates import RateModel, _stage_rates
 from vlcmap.signaling import LayerTable
@@ -619,6 +620,43 @@ def cell_distance_matrix(
                 ref_norm > 0.0, diff / ref_norm, np.where(diff == 0.0, 0.0, np.inf)
             )
     return out
+
+
+def peel_reference(dist: np.ndarray, order_id: np.ndarray, stalls: list | None = None):
+    """Per-cell reference for ``decmap._peel_categories``.
+
+    Every pass averages every category again, one row per member cell over
+    a (cells x cells) gather.  Each time the stall fallback runs, ``stalls``
+    (if given) gets the size of the remaining set it splits.
+    """
+    cats: list[list[int]] = [list(range(order_id.size))]
+    while True:
+        new: list[list[int]] = []
+        for cat in cats:
+            avg = dist[np.ix_(order_id[cat], cat)].mean(axis=1)
+            if avg.max() <= TAU_LOSS:
+                new.append(cat)
+                continue
+            # The remaining members (cell ids) and their averages, in step.
+            rem = np.array(cat)
+            while rem.size:
+                grp = np.abs(avg[0] - avg) < TAU_DIFF
+                if grp.all() and rem.size > 1:
+                    sub = dist[np.ix_(order_id[rem], rem)]
+                    if sub.mean(axis=1).max() > TAU_LOSS:
+                        # Mirror-image cells have exactly equal average
+                        # distances and stall the tie peel; fall back to
+                        # keeping the head's TAU_LOSS-ball together.  The
+                        # head always peels, so every pass shrinks ``rem``.
+                        grp = dist[order_id[rem[0]], rem] <= TAU_LOSS
+                        grp[0] = True
+                        if stalls is not None:
+                            stalls.append(rem.size)
+                new.append(rem[grp].tolist())
+                rem, avg = rem[~grp], avg[~grp]
+        if len(new) == len(cats):
+            return new
+        cats = new
 
 
 def max_average_loss(clusters, dist_fn) -> float:

@@ -1,11 +1,15 @@
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vlcmap.channel import gain_vector
 from vlcmap.cli import main
@@ -34,6 +38,7 @@ from oracles import (
     layer_permutation,
     max_average_loss,
     normalized_distance,
+    peel_reference,
     wedge_relabeled_orders,
 )
 from test_rates import random_model
@@ -366,7 +371,11 @@ class TestReduceMap:
         # file) can put every self-distance above TAU_LOSS; each head then
         # peels alone instead of an empty category repeating forever.
         dist = np.full((1, 3), 2 * TAU_LOSS)
-        assert _peel_categories(dist, np.zeros(3, dtype=int)) == [[0], [1], [2]]
+        order_id = np.zeros(3, dtype=int)
+        stalls = []
+        assert peel_reference(dist, order_id, stalls) == [[0], [1], [2]]
+        assert _peel_categories(dist, order_id) == [[0], [1], [2]]
+        assert stalls == [3, 2]
 
     def test_gains_come_from_the_map_samples(self, pair_scene):
         # A scene that differs only in its plane height has the map's
@@ -433,7 +442,7 @@ class TestGroupDecodingMap:
         ])
         # Distances are normalized; a self-distance is 0 or a few ulps.
         np.testing.assert_allclose(dist, oracle, rtol=1e-12, atol=1e-13)
-        clusters = _peel_categories(oracle, np.arange(len(active)))
+        clusters = peel_reference(oracle, np.arange(len(active)))
         assert len(clusters) == dmap.cluster_count > 1
         labels = np.empty(len(active), dtype=int)
         for label, members in enumerate(clusters):
@@ -487,22 +496,70 @@ class TestDistinctOrderDistance:
             for i in members
         ])
         clusters = reduce_map(dmap, scene, table)
+        order_id, sequences = _order_ids(orders)
+        dist = _distance_matrix(sequences, orders, gains, table, scene.sigma**2)
         oracle = cell_distance_matrix(orders, gains, table, scene.sigma**2)
         return SimpleNamespace(name=request.param, scene=scene, dmap=dmap, members=members,
                                orders=orders, gains=gains, table=table, clusters=clusters,
+                               order_id=order_id, sequences=sequences, dist=dist,
                                oracle=oracle)
 
     def test_expanded_rows_equal_the_per_cell_matrix(self, reduced):
         r = reduced
-        order_id, sequences = _order_ids(r.orders)
-        dist = _distance_matrix(sequences, r.orders, r.gains, r.table, r.scene.sigma**2)
-        assert dist.shape == self.SHAPES[r.name]
-        assert np.array_equal(dist[order_id], r.oracle)
-        grouped = any(len(g) == 2 for groups in sequences for g in groups)
+        assert r.dist.shape == self.SHAPES[r.name]
+        assert np.array_equal(r.dist[r.order_id], r.oracle)
+        grouped = any(len(g) == 2 for groups in r.sequences for g in groups)
         assert grouped == (r.name == "tau2")
 
     def test_clusters_equal_the_peel_of_the_per_cell_matrix(self, reduced):
         r = reduced
-        want = _peel_categories(r.oracle, np.arange(len(r.orders)))
+        want = peel_reference(r.oracle, np.arange(len(r.orders)))
         assert r.clusters == [[r.members[i] for i in cat] for cat in want]
         assert r.dmap.cluster_count == len(want) > 1
+
+    def test_peel_equals_the_reference(self, reduced):
+        r = reduced
+        assert _peel_categories(r.dist, r.order_id) == peel_reference(r.dist, r.order_id)
+
+
+# Distances a few orders take at many cells: a coarse grid of values, with
+# TAU_LOSS itself among them, so averages tie exactly and the stall fallback
+# runs.
+QUANTIZED = [0.0, TAU_LOSS / 2, TAU_LOSS, 2 * TAU_LOSS, 0.5, 1.0]
+
+
+@st.composite
+def few_orders_many_cells(draw):
+    n_orders = draw(st.integers(1, 4))
+    n_cells = draw(st.integers(1, 60))
+    dist = draw(hnp.arrays(np.float64, (n_orders, n_cells), elements=st.sampled_from(QUANTIZED)))
+    order_id = draw(hnp.arrays(np.intp, n_cells, elements=st.integers(0, n_orders - 1)))
+    return dist, order_id
+
+
+class TestPeel:
+    """The peel of one row per distinct order equals the per-cell reference."""
+
+    @settings(max_examples=300)
+    @given(few_orders_many_cells())
+    def test_equals_the_reference_on_quantized_distances(self, case):
+        dist, order_id = case
+        stalls = []
+        want = peel_reference(dist, order_id, stalls)
+        event("stall fallback runs" if stalls else "no stall fallback")
+        assert _peel_categories(dist, order_id) == want
+
+    def test_working_set_is_orders_by_cells(self):
+        # 16 orders over 3000 cells: the per-cell gather alone is 72 MB, the
+        # per-order one 384 kB.
+        rng = np.random.default_rng(7)
+        dist = rng.choice([0.0, TAU_LOSS / 2, 0.5], size=(16, 3000))
+        order_id = rng.integers(0, 16, 3000)
+        tracemalloc.start()
+        try:
+            cats = _peel_categories(dist, order_id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(c for cat in cats for c in cat) == list(range(3000))
+        assert peak < 8 * 2**20

@@ -499,6 +499,31 @@ class TestCli:
         assert not out.exists()
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("command", ["map-reduce", "map-build", "assoc-solve", "sweep-run"])
+    def test_unwritable_out_is_config_error(self, small_map, tmp_path, command):
+        # --out under a missing directory, under a file, or on a file.
+        scene, path, users = small_map
+        before = path.read_bytes()
+        blocker = tmp_path / "file"
+        blocker.write_text("a file\n")
+        ga = ["--population", "16", "--generations", "3"]
+        args = {
+            "map-reduce": ["map", "reduce", "--map", str(path),
+                           "--out", str(tmp_path / "missing" / "m.json")],
+            "map-build": ["map", "build", "--no-reduce", "--out", str(blocker / "sub")],
+            "assoc-solve": ["assoc", "solve", "--map", str(path), "--users", str(users), *ga,
+                            "--out", str(blocker)],
+            "sweep-run": ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0", *ga,
+                          "--out", str(blocker)],
+        }[command]
+        res = self.runner.invoke(main, args + ["--scene", str(scene)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
+        assert path.read_bytes() == before
+        assert blocker.read_text() == "a file\n"
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize(
         "option",
         [
