@@ -18,8 +18,8 @@ import numpy as np
 
 from .channel import check_filter_index
 from .cpgd import DecodingOrder, _extract, detectable_layers, greedy_order
-from .decmap import SAMPLE_TOL, DecodingMap
-from .errors import ConfigError, InfeasibleError, InvalidParameterError
+from .decmap import DecodingMap
+from .errors import InfeasibleError, InvalidParameterError
 from .rates import RateModel, _candidate_sets, _set_margins, model_at_position
 from .signaling import LayerTable
 
@@ -35,19 +35,8 @@ class MapLookupSolver:
         self.dmap = dmap
 
     def order_at(self, position) -> DecodingOrder:
-        """The order of the map cell at ``position``, which must be its sample.
-
-        :meth:`DecodingMap.cell_at` rejects an (x, y) off the samples, and a
-        z that is not finite or more than ``SAMPLE_TOL`` off the map's plane
-        raises :class:`ConfigError` too: nothing is snapped.
-        """
-        cell = self.dmap.cell_at(position[0], position[1])
-        if not abs(position[2] - cell.position[2]) <= SAMPLE_TOL:
-            raise ConfigError(
-                f"position {tuple(float(p) for p in position)} is not a sample of the "
-                f"map: the map's plane is at z = {cell.position[2]}"
-            )
-        return cell.order
+        """The order of the map cell at ``position`` (:meth:`DecodingMap.cell_at`)."""
+        return self.dmap.cell_at(position[0], position[1], position[2]).order
 
 
 class DirectSolver:

@@ -34,24 +34,27 @@ EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _load_spec(scene_path: str | None, layers: int | None) -> SceneSpec:
+def _load_run(scene_path: str | None, layers: int | None, map_path: str | None = None):
+    """Scene spec and map (or None) of a run.
+
+    A map must have been built from the scene.  An unset layer count is the
+    map's layers per transmitter, or the scene's without a map.
+    """
     if scene_path is None:
         spec = SceneSpec(scene=reference_scene(), layers_per_tx=2, snr_db=15.0)
     else:
         spec = load_scene(scene_path)
+    dmap = None if map_path is None else load_map(map_path)
+    if dmap is not None:
+        dmap.check_run(spec.scene)
+        if layers is None:
+            layers, rest = divmod(dmap.n_layers, spec.scene.n_tx)
+            if rest:
+                raise ConfigError(f"the map's layer count {dmap.n_layers} is not a whole number "
+                                  f"of layers per transmitter for {spec.scene.n_tx} transmitters")
     if layers is not None:
         spec.layers_per_tx = layers
-    return spec
-
-
-def _load_scene_map(map_path: str | None, scene):
-    """The map file at ``map_path``, checked to be built from ``scene``."""
-    if map_path is None:
-        return None
-    dmap = load_map(map_path)
-    if dmap.scene_hash != scene_fingerprint(scene):
-        raise ConfigError("map was built from a different scene")
-    return dmap
+    return spec, dmap
 
 
 def _fail(code: int, message: str) -> None:
@@ -102,12 +105,11 @@ def _assoc_setup(scene_path, map_path, filter_index, tau, layers, seed, populati
                  generations, refine=True):
     """Scene spec, map (or None) and association config from the shared options.
 
-    An unset filter or tau is the map's own, or the config default without a
-    map; an explicit one that differs from the map's fails when the run
-    starts (:meth:`DecodingMap.check_run`).
+    An unset filter, tau or layer count is the map's own, or the default
+    without a map; an explicit one that differs from the map's fails when the
+    run starts (:meth:`DecodingMap.check_run`).
     """
-    spec = _load_spec(scene_path, layers)
-    dmap = _load_scene_map(map_path, spec.scene)
+    spec, dmap = _load_run(scene_path, layers, map_path)
     unset = AssocExperimentConfig() if dmap is None else dmap
     cfg = AssocExperimentConfig(
         filter_index=unset.filter_index if filter_index is None else filter_index,
@@ -141,7 +143,7 @@ def map_group() -> None:
 @_exits
 def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce) -> None:
     """Solve the decoding order at every plane sample and store the map."""
-    spec = _load_spec(scene_path, layers)
+    spec, _ = _load_run(scene_path, layers)
     cfg = MapExperimentConfig(
         filter_index=filter_index,
         tau=tau,
@@ -155,14 +157,12 @@ def map_build(scene_path, outdir, filter_index, tau, layers, do_reduce) -> None:
 @map_group.command("reduce")
 @click.option("--map", "map_path", type=click.Path(exists=True), required=True)
 @click.option("--scene", "scene_path", type=click.Path(exists=True), default=None)
-@click.option("--layers", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output map file (defaults to rewriting in place).")
 @_exits
-def map_reduce(map_path, scene_path, layers, out_path) -> None:
+def map_reduce(map_path, scene_path, out_path) -> None:
     """Cluster an existing map's cells and store the labels."""
-    spec = _load_spec(scene_path, layers)
-    dmap = _load_scene_map(map_path, spec.scene)
+    spec, dmap = _load_run(scene_path, None, map_path)
     table = build_layer_set(spec.scene, spec.layers_per_tx)
     clusters = reduce_map(dmap, spec.scene, table)
     save_map(dmap, out_path or map_path)
@@ -182,9 +182,10 @@ def map_inspect(map_path, at) -> None:
     """Print a map summary, or one cell's decoding order."""
     dmap = load_map(map_path)
     if at:
-        cell = dmap.cell_at(at[0], at[1])
+        i = dmap.index_at(at[0], at[1])
+        cell = dmap.cells[i]
         info = {
-            "position": list(cell.position),
+            "position": list(dmap.positions()[i]),
             "outage": cell.order.outage,
             "cluster": cell.cluster,
         }
@@ -303,7 +304,7 @@ def sweep_run(outdir, plane, a_range, b_range, step, fixed, **shared) -> None:
 @_exits
 def validate(scene_path, layers) -> None:
     """Check that a scene file parses and its signaling calibrates."""
-    spec = _load_spec(scene_path, layers)
+    spec, _ = _load_run(scene_path, layers)
     table = build_layer_set(spec.scene, spec.layers_per_tx)
     click.echo(json.dumps({
         "scene_hash": scene_fingerprint(spec.scene),

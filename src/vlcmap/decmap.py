@@ -34,9 +34,6 @@ from .signaling import LayerTable
 
 @dataclass
 class MapCell:
-    ix: int
-    iy: int
-    position: tuple[float, float, float]
     order: DecodingOrder
     cluster: int = -1
 
@@ -63,6 +60,7 @@ class DecodingMap:
     tau: int
     xs: np.ndarray
     ys: np.ndarray
+    z: float
     n_layers: int
     cells: list[MapCell]
 
@@ -70,34 +68,44 @@ class DecodingMap:
     def shape(self) -> tuple[int, int]:
         return self.xs.size, self.ys.size
 
-    def cell(self, ix: int, iy: int) -> MapCell:
-        return self.cells[ix * self.ys.size + iy]
+    def positions(self) -> list[tuple[float, float, float]]:
+        """Every cell's sample: cell i at ``divmod(i, ys.size)`` on the grid, at height ``z``."""
+        return [(float(x), float(y), self.z) for x in self.xs for y in self.ys]
 
-    def cell_at(self, x: float, y: float) -> MapCell:
-        """The cell sampled at (x, y), to within ``SAMPLE_TOL`` on each axis.
+    def index_at(self, x: float, y: float, z: float | None = None) -> int:
+        """Index of the cell sampled at (x, y), to within ``SAMPLE_TOL`` on each axis.
 
-        A position that is not finite, outside the mapped plane or between
-        samples raises :class:`ConfigError`; it is never snapped to the
-        nearest sample.
+        A position that is not finite, outside the mapped plane, between
+        samples or, where ``z`` is given, off the map's plane raises
+        :class:`ConfigError`; it is never snapped to the nearest sample.
         """
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigError(f"position ({x}, {y}) is not finite")
         ix, iy = _nearest_sample(self.xs, x), _nearest_sample(self.ys, y)
         if not (0 <= ix < self.xs.size and 0 <= iy < self.ys.size):
             raise ConfigError(f"position ({x}, {y}) outside the mapped plane")
-        cell = self.cell(ix, iy)
-        if max(abs(x - cell.position[0]), abs(y - cell.position[1])) > SAMPLE_TOL:
+        if max(abs(x - self.xs[ix]), abs(y - self.ys[iy])) > SAMPLE_TOL:
             raise ConfigError(f"position ({x}, {y}) is not a sample of the map")
-        return cell
+        if z is not None and not abs(z - self.z) <= SAMPLE_TOL:
+            raise ConfigError(f"position {(float(x), float(y), float(z))} is not a sample of "
+                              f"the map: the map's plane is at z = {self.z}")
+        return ix * self.ys.size + iy
 
-    def check_run(
-        self, n_layers: int, filter_index: int | None = None, tau: int | None = None
-    ) -> None:
-        """Raise :class:`ConfigError` unless a run's settings are the map's own.
+    def cell_at(self, x: float, y: float, z: float | None = None) -> MapCell:
+        """The cell sampled at (x, y), and at height ``z`` where given (:meth:`index_at`)."""
+        return self.cells[self.index_at(x, y, z)]
 
-        The run's layer count, and its filter index and tau where given,
-        must equal those the map was built with.
+    def check_run(self, scene: Scene, n_layers: int | None = None,
+                  filter_index: int | None = None, tau: int | None = None) -> None:
+        """Raise :class:`ConfigError` unless a run on ``scene`` can use the map.
+
+        The map must be built from ``scene``, at one of its filters (the run
+        refines at it; :func:`check_filter_index`), and the run's layer count,
+        filter index and tau, where given, must equal the map's.
         """
+        if self.scene_hash != scene_fingerprint(scene):
+            raise ConfigError("map was built from a different scene")
+        check_filter_index(scene, self.filter_index)
         for name, run, own in (
             ("layer count", n_layers, self.n_layers),
             ("filter index", filter_index, self.filter_index),
@@ -155,21 +163,20 @@ def build_map(
     """
     check_filter_index(scene, filter_index)
     xs, ys = scene.plane.grid()
-    z = scene.plane.height
-    positions = [(float(x), float(y), z) for x in xs for y in ys]
-    cells: list[MapCell] = []
-    for i, (pos, g) in enumerate(zip(positions, gain_vectors(scene, positions, filter_index))):
-        model = model_at(table, g, scene.sigma**2, table.tiebreak)
-        cells.append(MapCell(*divmod(i, ys.size), pos, greedy_order(model, tau=tau)))
-    return DecodingMap(
+    dmap = DecodingMap(
         scene_hash=scene_fingerprint(scene),
         filter_index=filter_index,
         tau=tau,
         xs=xs,
         ys=ys,
+        z=scene.plane.height,
         n_layers=table.n_layers,
-        cells=cells,
+        cells=[],
     )
+    for g in gain_vectors(scene, dmap.positions(), filter_index):
+        model = model_at(table, g, scene.sigma**2, table.tiebreak)
+        dmap.cells.append(MapCell(greedy_order(model, tau=tau)))
+    return dmap
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +292,8 @@ def reduce_map(dmap: DecodingMap, scene: Scene, table: LayerTable) -> list[list[
     distance exceeds ``TAU_LOSS``, members whose average distance is within
     ``TAU_DIFF`` of the current head's are split off together, iterating
     until the category count stabilizes.  Each cell's gains are taken at its
-    own sample position; ``scene`` must be the one the map was built from,
-    and a ``table`` of another layer count raises :class:`ConfigError`.
+    own sample position; a ``scene`` the map was not built from, or a
+    ``table`` of another layer count, raises :class:`ConfigError`.
     Returns the clusters as lists of cell indices (row-major) and stores
     labels on the map.
 
@@ -295,13 +302,13 @@ def reduce_map(dmap: DecodingMap, scene: Scene, table: LayerTable) -> list[list[
     order (:func:`_peel_categories`), so peak memory is O(distinct orders x
     active cells), never O(active cells²).
     """
-    dmap.check_run(table.n_layers)
+    dmap.check_run(scene, table.n_layers)
     members = [c for c, cell in enumerate(dmap.cells) if not cell.order.outage]
     if not members:
         return []
-    cells = [dmap.cells[c] for c in members]
-    orders = [cell.order for cell in cells]
-    layer_gains = gain_vectors(scene, [cell.position for cell in cells], dmap.filter_index)[
+    orders = [dmap.cells[c].order for c in members]
+    positions = dmap.positions()
+    layer_gains = gain_vectors(scene, [positions[c] for c in members], dmap.filter_index)[
         :, table.tx
     ]
     order_id, sequences = _order_ids(orders)
@@ -358,7 +365,9 @@ def _peel_categories(dist: np.ndarray, order_id: np.ndarray) -> list[list[int]]:
             rem = np.array(cat)
             avg = means[inv]
             while rem.size:
-                grp = np.abs(avg[0] - avg) < TAU_DIFF
+                # Equal averages tie, infinite ones too: the head always peels.
+                with np.errstate(invalid="ignore"):
+                    grp = (avg == avg[0]) | (np.abs(avg[0] - avg) < TAU_DIFF)
                 if (grp.all() and rem.size > 1
                         and _order_averages(dist, order_id, rem)[0].max() > TAU_LOSS):
                     # Mirror-image cells have exactly equal average distances
@@ -402,7 +411,7 @@ def save_map(dmap: DecodingMap, path) -> None:
         "tau": dmap.tau,
         "xs": dmap.xs.tolist(),
         "ys": dmap.ys.tolist(),
-        "z": dmap.cells[0].position[2],
+        "z": dmap.z,
         "n_layers": dmap.n_layers,
         "cells": [{"cluster": c.cluster, **_order_payload(c.order)} for c in dmap.cells],
     }
@@ -412,11 +421,13 @@ def save_map(dmap: DecodingMap, path) -> None:
         fh.write(json.dumps(payload))
 
 
-def _field(record: dict, key: str, *types):
-    """``record[key]``, checked to have one of the JSON ``types``."""
+def _field(record: dict, key: str, *types, least: int | None = None):
+    """``record[key]``, checked to have one of the JSON ``types``, and to be at least ``least``."""
     value = record[key]
     if type(value) not in types:
         raise TypeError(f"field {key!r} has type {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"field {key!r} is {value}, below {least}")
     return value
 
 
@@ -461,8 +472,8 @@ def load_map(path) -> DecodingMap:
 
     Record i is the cell at ``divmod(i, ys.size)`` on the ``xs``/``ys`` grid,
     at height ``z``.  Another format or version, malformed JSON, a missing
-    or wrongly typed field, or a cell count other than the grid's raises
-    :class:`ConfigError`.
+    or wrongly typed field, a tau or layer count below 1, a negative filter
+    index, or a cell count other than the grid's raises :class:`ConfigError`.
     """
     try:
         with open(path) as fh:
@@ -474,26 +485,22 @@ def load_map(path) -> DecodingMap:
                 f"map file {path} has version {payload.get('version')!r}; "
                 f"this version of vlcmap reads version {MAP_VERSION}"
             )
-        n_layers = _field(payload, "n_layers", int)
+        n_layers = _field(payload, "n_layers", int, least=1)
         xs = np.array(_numbers(payload, "xs"), dtype=float)
         ys = np.array(_numbers(payload, "ys"), dtype=float)
         z = float(_field(payload, "z", int, float))
         records = _field(payload, "cells", list)
         if not records or len(records) != xs.size * ys.size:
             raise ValueError(f"{len(records)} cells for a {xs.size}x{ys.size} grid")
-        cells = []
-        for i, rec in enumerate(records):
-            ix, iy = divmod(i, ys.size)
-            order, cluster = _cell_record(rec, n_layers)
-            cells.append(MapCell(ix, iy, (float(xs[ix]), float(ys[iy]), z), order, cluster))
         return DecodingMap(
             scene_hash=_field(payload, "scene_hash", str),
-            filter_index=_field(payload, "filter_index", int),
-            tau=_field(payload, "tau", int),
+            filter_index=_field(payload, "filter_index", int, least=0),
+            tau=_field(payload, "tau", int, least=1),
             xs=xs,
             ys=ys,
+            z=z,
             n_layers=n_layers,
-            cells=cells,
+            cells=[MapCell(*_cell_record(rec, n_layers)) for rec in records],
         )
     except KeyError as exc:
         raise ConfigError(f"bad map file {path}: missing field {exc}") from exc
@@ -503,13 +510,14 @@ def load_map(path) -> DecodingMap:
 
 def export_cluster_csv(dmap: DecodingMap, path) -> None:
     rows = ["ix,iy,x,y,outage,cluster,min_rate,sum_rate"]
-    for c in dmap.cells:
+    for i, (c, (x, y, _)) in enumerate(zip(dmap.cells, dmap.positions())):
+        ix, iy = divmod(i, dmap.ys.size)
         if c.order.outage:
-            rows.append(f"{c.ix},{c.iy},{c.position[0]!r},{c.position[1]!r},1,-1,,")
+            rows.append(f"{ix},{iy},{x!r},{y!r},1,-1,,")
         else:
             idx = list(c.order.detectable)
             rows.append(
-                f"{c.ix},{c.iy},{c.position[0]!r},{c.position[1]!r},0,{c.cluster},"
+                f"{ix},{iy},{x!r},{y!r},0,{c.cluster},"
                 f"{float(np.min(c.order.rates[idx]))!r},{float(np.sum(c.order.rates[idx]))!r}"
             )
     with open(path, "w") as fh:

@@ -22,7 +22,7 @@ from .assoc import (
     sum_rate,
     user_rates,
 )
-from .channel import Scene, check_filter_index
+from .channel import Scene
 from .decmap import (
     DecodingMap,
     build_map,
@@ -128,12 +128,10 @@ def user_grid(anchor, n_x: int = 4, n_y: int = 4, plane: str = "xy"):
 def _solver(scene: Scene, table: LayerTable, cfg: AssocExperimentConfig, dmap):
     """Map lookup when a map is given, direct greedy solves otherwise.
 
-    A map must have been built with the run's layer count, filter and tau.
+    A map must fit the scene and the run (:meth:`DecodingMap.check_run`).
     """
     if dmap is not None:
-        dmap.check_run(table.n_layers, cfg.filter_index, cfg.tau)
-        # Refinement builds the users' models at cfg.filter_index all the same.
-        check_filter_index(scene, cfg.filter_index)
+        dmap.check_run(scene, table.n_layers, cfg.filter_index, cfg.tau)
         return MapLookupSolver(dmap)
     return DirectSolver(scene, table, cfg.filter_index, cfg.tau)
 

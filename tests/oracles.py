@@ -175,8 +175,9 @@ def wedge_relabeled_orders(scene: Scene, table: LayerTable, dmap) -> list[Decodi
         except InvalidParameterError:
             pass
     out = []
-    for cell in dmap.cells:
-        u, v = 2 * cell.ix - (nx - 1), 2 * cell.iy - (ny - 1)
+    for i, cell in enumerate(dmap.cells):
+        ix, iy = divmod(i, ny)
+        u, v = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
         seq: list[str] = []
         if u < 0 and "vertical" in perms:
             u, seq = -u, seq + ["vertical"]
@@ -185,11 +186,11 @@ def wedge_relabeled_orders(scene: Scene, table: LayerTable, dmap) -> list[Decodi
         if u > v and "diagonal" in perms:
             u, v = v, u
             seq += ["diagonal", "vertical", "horizontal"]
-        gains = gain_vector(scene, (dmap.xs[cell.ix], dmap.ys[cell.iy], z), dmap.filter_index)
+        gains = gain_vector(scene, (dmap.xs[ix], dmap.ys[iy], z), dmap.filter_index)
         if not seq or _has_near_tied_gains(gains):
             out.append(cell.order)
             continue
-        order = dmap.cell((u + nx - 1) // 2, (v + ny - 1) // 2).order
+        order = dmap.cells[(u + nx - 1) // 2 * ny + (v + ny - 1) // 2].order
         if order.outage:
             out.append(outage_order(table.n_layers))
             continue

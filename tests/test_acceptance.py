@@ -156,13 +156,10 @@ class TestClusteringReproduction:
         row = {c: r for r, c in enumerate(members)}
         orders = [dmap.cells[c].order for c in members]
         z = scene.plane.height
+        positions = dmap.positions()
         gains = np.stack(
             [
-                gain_vector(
-                    scene,
-                    (dmap.xs[dmap.cells[c].ix], dmap.ys[dmap.cells[c].iy], z),
-                    dmap.filter_index,
-                )[table.tx]
+                gain_vector(scene, (*positions[c][:2], z), dmap.filter_index)[table.tx]
                 for c in members
             ]
         )

@@ -186,7 +186,7 @@ class TestSolveAssociation:
         z = scene.plane.height
         solver = MapLookupSolver(dmap)
         order = solver.order_at((0.0, 0.1, z))
-        assert order is dmap.cell(0, 4).order
+        assert order is dmap.cells[4].order
         assert order.groups == DirectSolver(scene, table, 0).order_at((0.0, 0.1, z)).groups
         for x in (0.05, -1e-6):
             with pytest.raises(ConfigError, match="outside the mapped plane"):

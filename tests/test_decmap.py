@@ -1,7 +1,11 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import vlcmap
 from vlcmap.channel import gain_vector
 from vlcmap.cli import main
 from vlcmap.cpgd import greedy_order
@@ -152,11 +157,11 @@ class TestBuildMap:
         # Reflection leaves the achievable rate multiset unchanged (the
         # decoding sequence itself may relabel tied stages differently).
         dmap = benchmark_map
-        nx = dmap.xs.size
+        nx, ny = dmap.shape
         for ix in range(nx):
-            for iy in range(dmap.ys.size):
-                cell = dmap.cell(ix, iy)
-                mirror = dmap.cell(nx - 1 - ix, iy)
+            for iy in range(ny):
+                cell = dmap.cells[ix * ny + iy]
+                mirror = dmap.cells[(nx - 1 - ix) * ny + iy]
                 if cell.order.outage:
                     assert mirror.order.outage
                     continue
@@ -176,9 +181,9 @@ class TestBuildMap:
             (benchmark_scene, benchmark_table, benchmark_map),
             (pair_scene, pair_table, build_map(pair_scene, pair_table, 0)),
         ):
-            for cell in dmap.cells:
+            for position, cell in zip(dmap.positions(), dmap.cells):
                 direct = greedy_order(
-                    model_at_position(scene, table, cell.position, dmap.filter_index),
+                    model_at_position(scene, table, position, dmap.filter_index),
                     tau=dmap.tau,
                 )
                 assert cell.order.outage == direct.outage
@@ -186,24 +191,31 @@ class TestBuildMap:
                 np.testing.assert_array_equal(cell.order.rates, direct.rates)
 
     def test_cell_lookup(self, benchmark_map):
-        c = benchmark_map.cell_at(0.0, 0.0)
-        assert c.position[0] == pytest.approx(0.0)
-        assert c.position[1] == pytest.approx(0.0)
+        i = benchmark_map.index_at(0.0, 0.0)
+        assert benchmark_map.cell_at(0.0, 0.0) is benchmark_map.cells[i]
+        assert benchmark_map.positions()[i][:2] == (pytest.approx(0.0), pytest.approx(0.0))
         with pytest.raises(ConfigError):
             benchmark_map.cell_at(1e3, 0.0)
         with pytest.raises(ConfigError, match="not finite"):
             benchmark_map.cell_at(np.nan, 0.0)
 
     def test_cell_lookup_never_snaps(self, benchmark_map):
-        assert benchmark_map.cell_at(0.1 + 1e-10, -1e-10).position[:2] == (
+        assert benchmark_map.positions()[benchmark_map.index_at(0.1 + 1e-10, -1e-10)][:2] == (
             pytest.approx(0.1), pytest.approx(0.0)
         )
         for x, y in [(0.05, 0.04), (0.1 + 1e-6, 0.0), (0.1, 1e-8)]:
             with pytest.raises(ConfigError, match="not a sample of the map"):
                 benchmark_map.cell_at(x, y)
 
+    def test_cell_lookup_checks_the_plane_height(self, benchmark_map):
+        z = benchmark_map.z
+        assert benchmark_map.cell_at(0.1, 0.0, z + 1e-10) is benchmark_map.cell_at(0.1, 0.0)
+        for off in (1e-6, -0.5, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="the map's plane is at z"):
+                benchmark_map.cell_at(0.1, 0.0, z + off)
+
     def test_edge_cells_are_outage(self, benchmark_map):
-        corner = benchmark_map.cell(0, 0)
+        corner = benchmark_map.cells[0]
         center = benchmark_map.cell_at(0.0, 0.0)
         assert corner.order.outage
         assert not center.order.outage
@@ -221,8 +233,9 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.xs, benchmark_map.xs)
         np.testing.assert_array_equal(loaded.ys, benchmark_map.ys)
         assert len(loaded.cells) == len(benchmark_map.cells)
+        assert loaded.z == benchmark_map.z
         for a, b in zip(loaded.cells, benchmark_map.cells):
-            assert (a.ix, a.iy, a.position, a.cluster) == (b.ix, b.iy, b.position, b.cluster)
+            assert a.cluster == b.cluster
             assert a.order.groups == b.order.groups
             assert a.order.outage == b.order.outage
             if not a.order.outage:
@@ -258,6 +271,9 @@ class TestSaveLoad:
             lambda p: p.pop("n_layers"),
             lambda p: p["cells"][0].pop("cluster"),
             lambda p: p.update(tau="1"),
+            lambda p: p.update(tau=0),
+            lambda p: p.update(n_layers=0),
+            lambda p: p.update(filter_index=-1),
             lambda p: p.update(xs=None),
             lambda p: p.pop("z"),
             lambda p: p.update(z="2.0"),
@@ -265,8 +281,9 @@ class TestSaveLoad:
             lambda p: next(c for c in p["cells"] if not c["outage"])["groups"].append([0]),
             lambda p: next(c for c in p["cells"] if not c["outage"]).update(groups=[], rates=[]),
         ],
-        ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "null-xs", "no-z", "str-z",
-             "missing-cell", "layer-id-0", "lit-no-groups"],
+        ids=["old-version", "no-n_layers", "no-cluster", "str-tau", "zero-tau", "zero-n_layers",
+             "negative-filter", "null-xs", "no-z", "str-z", "missing-cell", "layer-id-0",
+             "lit-no-groups"],
     )
     def test_rejects_malformed_fields(self, saved, edit):
         path, payload = saved
@@ -282,10 +299,10 @@ class TestSaveLoad:
         payload["z"] = 1.5
         path.write_text(json.dumps(payload))
         loaded = load_map(path)
-        for i, cell in enumerate(loaded.cells):
+        for i, position in enumerate(loaded.positions()):
             ix, iy = divmod(i, loaded.ys.size)
-            assert (cell.ix, cell.iy) == (ix, iy)
-            assert cell.position == (loaded.xs[ix], loaded.ys[iy], 1.5)
+            assert position == (loaded.xs[ix], loaded.ys[iy], 1.5)
+        assert len(loaded.positions()) == len(loaded.cells)
 
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "map.json"
@@ -305,19 +322,21 @@ class TestFingerprint:
         assert scene_fingerprint(benchmark_scene) != scene_fingerprint(other)
 
 
-def distance_rows(scene, table, dmap, cells):
-    """``_distance_matrix`` over the given map cells, one row per cell, and the cells' models."""
-    models = [model_at_position(scene, table, c.position, dmap.filter_index) for c in cells]
+def distance_rows(scene, table, dmap, idx):
+    """``_distance_matrix`` over the map cells ``idx``, one row per cell, and the cells' models."""
+    positions = dmap.positions()
+    models = [model_at_position(scene, table, positions[i], dmap.filter_index) for i in idx]
     gains = np.stack([m.gains for m in models])
-    orders = [c.order for c in cells]
+    orders = [dmap.cells[i].order for i in idx]
     order_id, sequences = _order_ids(orders)
     return _distance_matrix(sequences, orders, gains, table, scene.sigma**2)[order_id], models
 
 
 class TestNormalizedDistance:
     def test_self_distance_zero(self, benchmark_scene, benchmark_table, benchmark_map):
-        cell = benchmark_map.cell_at(0.3, 0.1)
-        dist, (model,) = distance_rows(benchmark_scene, benchmark_table, benchmark_map, [cell])
+        i = benchmark_map.index_at(0.3, 0.1)
+        cell = benchmark_map.cells[i]
+        dist, (model,) = distance_rows(benchmark_scene, benchmark_table, benchmark_map, [i])
         assert dist[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert normalized_distance(cell.order, cell.order, model) == pytest.approx(
             0.0, abs=1e-12
@@ -326,9 +345,9 @@ class TestNormalizedDistance:
     def test_symmetric_cells_have_tiny_cross_distance(
         self, benchmark_scene, benchmark_table, benchmark_map
     ):
-        a = benchmark_map.cell_at(0.3, 0.1)
-        b = benchmark_map.cell_at(-0.3, 0.1)
-        dist, (_, model_b) = distance_rows(benchmark_scene, benchmark_table, benchmark_map, [a, b])
+        idx = [benchmark_map.index_at(0.3, 0.1), benchmark_map.index_at(-0.3, 0.1)]
+        a, b = (benchmark_map.cells[i] for i in idx)
+        dist, (_, model_b) = distance_rows(benchmark_scene, benchmark_table, benchmark_map, idx)
         d = dist[0, 1]
         assert 0.0 <= d  # well defined between non-outage cells
         assert d == pytest.approx(normalized_distance(a.order, b.order, model_b), rel=1e-12)
@@ -356,11 +375,12 @@ class TestReduceMap:
         clusters = reduce_map(dmap, pair_scene, table)
 
         models = {}
+        positions = dmap.positions()
 
         def dist(i, j):
             if j not in models:
                 models[j] = model_at_position(
-                    pair_scene, table, dmap.cells[j].position, dmap.filter_index
+                    pair_scene, table, positions[j], dmap.filter_index
                 )
             return normalized_distance(dmap.cells[i].order, dmap.cells[j].order, models[j])
 
@@ -376,6 +396,38 @@ class TestReduceMap:
         assert peel_reference(dist, order_id, stalls) == [[0], [1], [2]]
         assert _peel_categories(dist, order_id) == [[0], [1], [2]]
         assert stalls == [3, 2]
+
+    def test_peel_ends_on_infinite_averages(self):
+        # Cell 2 has distance inf from every order: the heads' averages are
+        # inf, and equal infinite averages tie.
+        dist = np.array([[0.0, 0.5, np.inf], [0.5, 0.0, np.inf]])
+        assert _peel_categories(dist, np.array([0, 1, 0])) == [[0], [1], [2]]
+
+    def test_map_reduce_ends_on_a_cell_with_zero_rates(self, tmp_path):
+        # A lit cell whose own rates are all zero, where another order gives
+        # it a positive rate, is infinitely far from that order.  A hang
+        # fails through the timeout rather than stalling the suite.
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(SMALL_SCENE_YAML)
+        res = CliRunner().invoke(main, [
+            "map", "build", "--scene", str(scene), "--no-reduce", "--out", str(tmp_path / "m"),
+        ])
+        assert res.exit_code == 0, res.output
+        path = tmp_path / "m" / "map.json"
+        payload = json.loads(path.read_text())
+        lit = [c for c in payload["cells"] if not c["outage"]]
+        lit[0]["rates"] = [0.0] * len(lit[0]["rates"])
+        path.write_text(json.dumps(payload))
+        env = {**os.environ, "PYTHONPATH": str(Path(vlcmap.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "vlcmap.cli", "map", "reduce", "--scene", str(scene),
+             "--map", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["cluster_count"] >= 1
+        assert all(c["cluster"] >= 0 for c in json.loads(path.read_text())["cells"]
+                   if not c["outage"])
 
     def test_gains_come_from_the_map_samples(self, pair_scene):
         # A scene that differs only in its plane height has the map's
@@ -423,8 +475,8 @@ class TestGroupDecodingMap:
     def test_cells_equal_the_scalar_greedy(self, built):
         scene, table, dmap = built
         grouped = 0
-        for cell in dmap.cells:
-            model = model_at_position(scene, table, cell.position, dmap.filter_index)
+        for position, cell in zip(dmap.positions(), dmap.cells):
+            model = model_at_position(scene, table, position, dmap.filter_index)
             groups, rates = greedy_groups(model, 2)
             assert cell.order.groups == groups
             if groups:
@@ -434,8 +486,9 @@ class TestGroupDecodingMap:
 
     def test_clusters_equal_those_of_the_oracle_distance(self, built):
         scene, table, dmap = built
-        active = [c for c in dmap.cells if not c.order.outage]
-        dist, models = distance_rows(scene, table, dmap, active)
+        lit = [i for i, c in enumerate(dmap.cells) if not c.order.outage]
+        active = [dmap.cells[i] for i in lit]
+        dist, models = distance_rows(scene, table, dmap, lit)
         oracle = np.array([
             [normalized_distance(a.order, b.order, m) for b, m in zip(active, models)]
             for a in active
@@ -491,9 +544,9 @@ class TestDistinctOrderDistance:
         dmap = build_map(scene, table, 0, tau=tau)
         members = [i for i, c in enumerate(dmap.cells) if not c.order.outage]
         orders = [dmap.cells[i].order for i in members]
+        positions = dmap.positions()
         gains = np.stack([
-            gain_vector(scene, dmap.cells[i].position, dmap.filter_index)[table.tx]
-            for i in members
+            gain_vector(scene, positions[i], dmap.filter_index)[table.tx] for i in members
         ])
         clusters = reduce_map(dmap, scene, table)
         order_id, sequences = _order_ids(orders)

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from vlcmap import experiments
 from vlcmap.assoc import DirectSolver, GAConfig, MapLookupSolver, solve_association
 from vlcmap.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
-from vlcmap.decmap import load_map, save_map
+from vlcmap.decmap import build_map, load_map, reduce_map, save_map
+from vlcmap.errors import ConfigError
 from vlcmap.experiments import (
     AssocExperimentConfig,
     MapExperimentConfig,
@@ -19,6 +20,7 @@ from vlcmap.experiments import (
     run_sweep_experiment,
     user_grid,
 )
+from vlcmap.sceneio import reference_scene
 from vlcmap.signaling import build_layer_set
 
 from test_decmap import SMALL_SCENE_YAML
@@ -73,6 +75,36 @@ class TestRunAssocExperiment:
         result = run_assoc_experiment(corner_scene, users, cfg)
         assert result["sum_rate"] == result["sum_rate_assoc"]
         assert "rounds" not in result
+
+
+class TestMapOfAnotherScene:
+    """Library entry points refuse a map built from another scene."""
+
+    @pytest.fixture(scope="class")
+    def pair_map(self, pair_scene):
+        return build_map(pair_scene, build_layer_set(pair_scene, 2), 0)
+
+    @pytest.mark.parametrize("entry", ["run_assoc_experiment", "run_sweep_experiment",
+                                       "reduce_map"])
+    def test_raises_config_error(self, pair_map, tmp_path, entry):
+        # The pair scene at 5 dB: the map's geometry, another noise level.
+        noisy = reference_scene(1, 2, snr_db=5.0, spacing_x=0.6, spacing_y=0.6)
+        cfg = AssocExperimentConfig(ga=SMALL_GA)
+        labels = [c.cluster for c in pair_map.cells]
+        run = {
+            "run_assoc_experiment": lambda: run_assoc_experiment(
+                noisy, [(0.1, 0.0, 2.0)], cfg, outdir=tmp_path / "out", dmap=pair_map
+            ),
+            "run_sweep_experiment": lambda: run_sweep_experiment(
+                noisy, SweepConfig(a_range=(0, 0), b_range=(0, 0), assoc=cfg),
+                tmp_path / "out", dmap=pair_map,
+            ),
+            "reduce_map": lambda: reduce_map(pair_map, noisy, build_layer_set(noisy, 2)),
+        }[entry]
+        with pytest.raises(ConfigError, match="map was built from a different scene"):
+            run()
+        assert not (tmp_path / "out").exists()
+        assert [c.cluster for c in pair_map.cells] == labels
 
 
 def added_in_user_order(user_rates) -> float:
@@ -453,7 +485,8 @@ class TestCli:
         ])
         assert res.exit_code == 0, res.output
         path = tmp_path / "m" / "map.json"
-        lit = [c.position for c in load_map(path).cells if not c.order.outage]
+        dmap = load_map(path)
+        lit = [p for p, c in zip(dmap.positions(), dmap.cells) if not c.order.outage]
         users = tmp_path / "users.csv"
         users.write_text("".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in (lit[0], lit[-1])))
         return scene, path, users
@@ -474,8 +507,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, option",
-        [(c, o) for c in ("assoc-solve", "sweep-run") for o in ("--filter", "--tau", "--layers")]
-        + [("map-reduce", "--layers")],
+        [(c, o) for c in ("assoc-solve", "sweep-run") for o in ("--filter", "--tau", "--layers")],
     )
     def test_settings_that_differ_from_the_map_are_config_errors(
         self, small_map, tmp_path, command, option
@@ -488,16 +520,100 @@ class TestCli:
         args = {
             "assoc-solve": ["assoc", "solve", "--users", str(users)],
             "sweep-run": ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0"],
-            "map-reduce": ["map", "reduce"],
         }[command] + option + ["--scene", str(scene), "--map", str(path)]
-        if command != "map-reduce":
-            args += ["--population", "16", "--generations", "3", "--out", str(out)]
+        args += ["--population", "16", "--generations", "3", "--out", str(out)]
         res = self.runner.invoke(main, args)
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "Traceback" not in res.output
         assert "differs from the map's" in res.output
         assert not out.exists()
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["assoc-solve", "sweep-run", "map-reduce"])
+    def test_a_map_of_another_scene_is_a_config_error(self, small_map, tmp_path, command):
+        # The map is of SMALL_SCENE_YAML's scene; the run is on the built-in one.
+        _, path, users = small_map
+        before = path.read_bytes()
+        out = tmp_path / "out"
+        ga = ["--population", "16", "--generations", "3"]
+        args = {
+            "assoc-solve": ["assoc", "solve", "--users", str(users), *ga],
+            "sweep-run": ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0", *ga],
+            "map-reduce": ["map", "reduce"],
+        }[command]
+        res = self.runner.invoke(main, args + ["--map", str(path), "--out", str(out)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "map was built from a different scene" in res.output
+        assert not out.exists()
+        assert path.read_bytes() == before
+
+    @pytest.fixture()
+    def three_layer_map(self, tmp_path):
+        """A ``--layers 3`` map of ``SMALL_SCENE_YAML``'s scene sampled at 0.1 m."""
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(SMALL_SCENE_YAML.replace("sample_gap: 0.4", "sample_gap: 0.1"))
+        res = self.runner.invoke(main, [
+            "map", "build", "--scene", str(scene), "--layers", "3", "--no-reduce",
+            "--out", str(tmp_path / "m"),
+        ])
+        assert res.exit_code == 0, res.output
+        return scene, tmp_path / "m" / "map.json"
+
+    @pytest.mark.parametrize("command", ["assoc-solve", "sweep-run", "map-reduce"])
+    def test_a_map_run_takes_its_layer_count_from_the_map(
+        self, three_layer_map, tmp_path, command
+    ):
+        scene, path = three_layer_map
+        ga = ["--population", "16", "--generations", "3"]
+        args = {
+            "assoc-solve": ["assoc", "solve", "--anchor", "0", "0", "--no-refine", *ga],
+            "sweep-run": ["sweep", "run", "--a-range", "0", "0", "--b-range", "0", "0", *ga],
+            "map-reduce": ["map", "reduce"],
+        }[command] + ["--scene", str(scene), "--map", str(path)]
+        out = ["--out", str(tmp_path / ("out.json" if command == "map-reduce" else "out"))]
+        res = self.runner.invoke(main, args + out)
+        assert res.exit_code == 0, res.output
+        if command == "map-reduce":
+            assert json.loads(res.output)["cluster_count"] >= 1
+            return
+        params = json.loads((tmp_path / "out" / "run.json").read_text())["params"]
+        assert (params["assoc"] if command == "sweep-run" else params)["layers_per_tx"] == 3
+        res = self.runner.invoke(main, args + ["--layers", "2", "--out", str(tmp_path / "o2")])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "the run's layer count 16 differs from the map's 24" in res.output
+
+    def test_a_layer_count_that_no_layers_per_transmitter_gives_is_a_config_error(
+        self, three_layer_map, tmp_path
+    ):
+        scene, path = three_layer_map
+        payload = json.loads(path.read_text())
+        payload["n_layers"] += 1
+        path.write_text(json.dumps(payload))
+        res = self.runner.invoke(main, ["map", "reduce", "--scene", str(scene),
+                                        "--map", str(path)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "layer count 25 is not a whole number" in res.output
+
+    @pytest.mark.parametrize("tau", [0, -1])
+    @pytest.mark.parametrize("command", ["assoc-solve", "map-reduce"])
+    def test_a_map_file_with_tau_below_1_is_a_config_error(
+        self, small_map, tmp_path, command, tau
+    ):
+        scene, path, users = small_map
+        payload = json.loads(path.read_text())
+        payload["tau"] = tau
+        path.write_text(json.dumps(payload))
+        args = {
+            "assoc-solve": ["assoc", "solve", "--users", str(users),
+                            "--population", "16", "--generations", "3"],
+            "map-reduce": ["map", "reduce"],
+        }[command]
+        res = self.runner.invoke(main, args + ["--scene", str(scene), "--map", str(path)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert "bad map file" in res.output
 
     @pytest.mark.parametrize("command", ["map-reduce", "map-build", "assoc-solve", "sweep-run"])
     def test_unwritable_out_is_config_error(self, small_map, tmp_path, command):
