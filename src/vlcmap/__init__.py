@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     VlcError,
 )
-from .rates import RateModel, achievable_rate, model_at, model_at_position
+from .rates import RateModel, achievable_rate, model_at_position, models_at
 from .sceneio import SceneSpec, calibrate_noise, grid_scene, load_scene, reference_scene
 from .signaling import LayerTable, TGParams, build_layer_set, calibrate_layer, tg_moments
 
@@ -64,8 +64,8 @@ __all__ = [
     "iterative_rate_update",
     "load_map",
     "load_scene",
-    "model_at",
     "model_at_position",
+    "models_at",
     "reference_scene",
     "reduce_map",
     "save_map",

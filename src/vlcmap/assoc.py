@@ -190,8 +190,9 @@ class _AssignmentProblem:
       ``(n_users, max_cands + 1, L + 1)`` array, padded with ``+inf``; the
       extra last candidate slot, all ``+inf``, stands for a user left
       unserved, and the extra last column is ``+inf`` for every candidate;
-    - ``own``: per user and candidate, the candidate transmitter's layer ids,
-      padded with ``L``, the index of that extra ``+inf`` column;
+    - ``own``: per user and candidate, the candidate transmitter's layer ids
+      (``table.layers_per_tx`` of them); a slot of no candidate holds ``L``,
+      the index of that extra ``+inf`` column;
     - ``preference``: each user's candidate indices by descending own-layer
       rate sum, ties toward the lower transmitter (a stable sort).
 
@@ -204,7 +205,8 @@ class _AssignmentProblem:
         self.table = table
         self.orders = [solver.order_at(p) for p in user_positions]
         n_layers = table.n_layers
-        own_layers = [np.flatnonzero(table.tx == tx) for tx in range(table.layers_per_tx.size)]
+        # Row tx: transmitter tx's layer ids.
+        own_layers = np.arange(n_layers).reshape(-1, table.layers_per_tx)
         self.candidates: list[list[int]] = []
         local: list[list[np.ndarray]] = []
         for order in self.orders:
@@ -217,16 +219,15 @@ class _AssignmentProblem:
 
         n_users = len(self.candidates)
         max_cands = max(len(c) for c in self.candidates)
-        width = max(len(own) for own in own_layers)
         self.rows = np.full((n_users, max_cands + 1, n_layers + 1), np.inf)
-        self.own = np.full((n_users, max_cands + 1, width), n_layers)
+        self.own = np.full((n_users, max_cands + 1, table.layers_per_tx), n_layers)
         self.preference: list[list[int]] = []
         for j, txs in enumerate(self.candidates):
             sums = np.empty(len(txs))
             for c, tx in enumerate(txs):
                 row, own = local[j][c], own_layers[tx]
                 self.rows[j, c, :n_layers] = row
-                self.own[j, c, : own.size] = own
+                self.own[j, c] = own
                 sums[c] = row[own][np.isfinite(row[own])].sum()
             self.preference.append(np.argsort(-sums, kind="stable").tolist())
 

@@ -10,7 +10,7 @@ Rates elsewhere in the package are bits per channel use (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -30,36 +30,31 @@ NEGLIGIBLE_GAIN_RATIO = 1e-12
 class ColorBand:
     """One LED color: nominal band [low_nm, high_nm] with out-of-band leakage.
 
-    The spectrum is modeled as a Gaussian centered on the band; ``std_nm`` is
-    chosen so the two-sided tail mass outside the band equals ``leakage``.
+    The spectrum is a Gaussian centered on the band, ``mean_nm``; its
+    ``std_nm`` solves ``P[N(mean, std^2) > high_nm] = leakage / 2``, so the
+    two-sided tail mass outside the band equals ``leakage``.  Both are
+    computed once, at construction, which also checks the band.
     """
 
     low_nm: float
     high_nm: float
     leakage: float
-    mean_nm: float | None = None
-    std_nm: float | None = None
+    mean_nm: float = field(init=False)
+    std_nm: float = field(init=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.low_nm < self.high_nm:
-            raise InvalidParameterError(f"band limits out of order: {self}")
+            raise InvalidParameterError(
+                f"band limits out of order: ({self.low_nm}, {self.high_nm})"
+            )
         if not 0.0 < self.leakage < 1.0:
-            raise InvalidParameterError(f"leakage must be in (0, 1): {self}")
-
-
-def derive_spectrum(band: ColorBand) -> ColorBand:
-    """Fill in the Gaussian spectrum parameters of a color band.
-
-    The mean is the band center; the std solves
-    ``P[N(mean, std^2) > high_nm] = leakage / 2``.
-    """
-    band.validate()
-    mean = 0.5 * (band.low_nm + band.high_nm)
-    quantile = ndtri(1.0 - band.leakage / 2.0)
-    if not math.isfinite(quantile) or quantile <= 0.0:
-        raise InvalidParameterError(f"leakage {band.leakage} gives no finite quantile")
-    std = (band.high_nm - mean) / quantile
-    return replace(band, mean_nm=mean, std_nm=std)
+            raise InvalidParameterError(f"leakage must be in (0, 1), got {self.leakage}")
+        mean = 0.5 * (self.low_nm + self.high_nm)
+        quantile = ndtri(1.0 - self.leakage / 2.0)
+        if not math.isfinite(quantile) or quantile <= 0.0:
+            raise InvalidParameterError(f"leakage {self.leakage} gives no finite quantile")
+        object.__setattr__(self, "mean_nm", mean)
+        object.__setattr__(self, "std_nm", (self.high_nm - mean) / quantile)
 
 
 def filter_gain_matrix(
@@ -74,8 +69,6 @@ def filter_gain_matrix(
     """
     out = np.empty((len(bands), len(filters)))
     for p, band in enumerate(bands):
-        if band.mean_nm is None or band.std_nm is None:
-            band = derive_spectrum(band)
         for q, (lo, hi) in enumerate(filters):
             if not lo < hi:
                 raise InvalidParameterError(f"filter passband out of order: ({lo}, {hi})")
@@ -150,7 +143,6 @@ class Scene:
             raise InvalidParameterError("need 0 < avg_power <= peak_power per transmitter")
         if np.any(self.tx_color < 0) or np.any(self.tx_color >= len(self.bands)):
             raise InvalidParameterError("transmitter color index out of range")
-        self.bands = [derive_spectrum(b) if b.std_nm is None else b for b in self.bands]
         self.filter_matrix = filter_gain_matrix(self.bands, self.filters)
 
     @property

@@ -19,13 +19,7 @@ import numpy as np
 from .channel import Scene, check_filter_index, gain_vectors
 from .cpgd import DecodingOrder, greedy_order, outage_order
 from .errors import ConfigError
-from .rates import (
-    _candidates,
-    _set_margins,
-    _stage_rates,
-    model_at,
-    subsets_in_bitmask_order,
-)
+from .rates import _candidates, _set_margins, _stage_rates, models_at, subsets_in_bitmask_order
 from .signaling import LayerTable
 
 # ---------------------------------------------------------------------------
@@ -157,9 +151,9 @@ def build_map(
 ) -> DecodingMap:
     """Solve the greedy order at every sample position of the receiver plane.
 
-    The whole grid's gains come from one :func:`gain_vectors` call, and each
-    cell's model is built from its row as :func:`model_at_position` builds a
-    direct solve's, so map cells equal direct solves at their positions.
+    The cells' models come from one :func:`models_at` batch, of which a
+    direct solve's :func:`model_at_position` is a batch of one, so map cells
+    equal direct solves at their positions.
     """
     check_filter_index(scene, filter_index)
     xs, ys = scene.plane.grid()
@@ -173,8 +167,7 @@ def build_map(
         n_layers=table.n_layers,
         cells=[],
     )
-    for g in gain_vectors(scene, dmap.positions(), filter_index):
-        model = model_at(table, g, scene.sigma**2, table.tiebreak)
+    for model in models_at(scene, table, dmap.positions(), filter_index):
         dmap.cells.append(MapCell(greedy_order(model, tau=tau)))
     return dmap
 
@@ -472,8 +465,9 @@ def load_map(path) -> DecodingMap:
 
     Record i is the cell at ``divmod(i, ys.size)`` on the ``xs``/``ys`` grid,
     at height ``z``.  Another format or version, malformed JSON, a missing
-    or wrongly typed field, a tau or layer count below 1, a negative filter
-    index, or a cell count other than the grid's raises :class:`ConfigError`.
+    or wrongly typed field, a sample grid that is not finite, a tau or layer
+    count below 1, a negative filter index, or a cell count other than the
+    grid's raises :class:`ConfigError`.
     """
     try:
         with open(path) as fh:
@@ -489,6 +483,8 @@ def load_map(path) -> DecodingMap:
         xs = np.array(_numbers(payload, "xs"), dtype=float)
         ys = np.array(_numbers(payload, "ys"), dtype=float)
         z = float(_field(payload, "z", int, float))
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and math.isfinite(z)):
+            raise ValueError("the sample grid (xs, ys, z) must be finite")
         records = _field(payload, "cells", list)
         if not records or len(records) != xs.size * ys.size:
             raise ValueError(f"{len(records)} cells for a {xs.size}x{ys.size} grid")

@@ -32,7 +32,7 @@ from .decmap import (
     scene_fingerprint,
 )
 from .errors import InfeasibleError, InvalidParameterError
-from .rates import model_at_position
+from .rates import models_at
 from .signaling import LayerTable, build_layer_set
 
 
@@ -157,7 +157,7 @@ def associate(
     }
     rates = assoc.rbar
     if cfg.refine:
-        models = [model_at_position(scene, table, p, cfg.filter_index) for p in positions]
+        models = list(models_at(scene, table, positions, cfg.filter_index))
         upd = iterative_rate_update(assoc, models, table, tau=cfg.tau, max_rounds=cfg.max_rounds)
         rates = upd.rates
         record.update(rounds=upd.rounds, converged=upd.converged)
@@ -231,13 +231,22 @@ _OUTAGE = {"n_served": 0, "sum_rate_assoc": 0.0, "sum_rate": 0.0, "min_user_rate
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Anchor coordinates from ``lo`` to ``hi`` at ``step`` apart."""
+    """Anchor coordinates from ``lo`` to ``hi`` at ``step`` apart.
+
+    A step so small that the axis cannot be built raises
+    :class:`InvalidParameterError` naming the anchor count it needs.
+    """
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidParameterError(f"sweep step must be a positive finite number, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidParameterError(f"sweep range ({lo}, {hi}) must be finite and low to high")
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+    try:
+        return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise InvalidParameterError(
+            f"sweep range ({lo}, {hi}) at step {step} needs {(hi - lo) / step + 1:g} anchors "
+            "on one axis, more than can be built"
+        ) from exc
 
 
 def run_sweep_experiment(

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .channel import gain_vectors
 from .errors import InvalidParameterError
 from .signaling import LayerTable
 
@@ -47,36 +48,27 @@ class RateModel:
         return self.gains**2 * self.var
 
 
-def model_at(
-    table: LayerTable,
-    tx_gains: np.ndarray,
-    noise_var: float,
-    tiebreak: np.ndarray | None = None,
-) -> RateModel:
-    """Build the position model from per-transmitter gains."""
-    return RateModel(
-        gains=np.asarray(tx_gains, dtype=float)[table.tx],
-        nu2=table.nu**2,
-        var=table.var.copy(),
-        phi=table.phi.copy(),
-        noise_var=float(noise_var),
-        tiebreak=None if tiebreak is None else np.asarray(tiebreak, dtype=float),
-    )
+def models_at(scene, table: LayerTable, positions, filter_index: int) -> Iterator[RateModel]:
+    """Rate model at each 3D receiver position through one optical filter, in order.
 
-
-def model_at_position(
-    scene, table: LayerTable, position, filter_index: int
-) -> RateModel:
-    """Rate model at a 3D receiver position through one optical filter.
-
-    The table must be built from ``scene``: its geometric tie-break keys
-    become the model's.
+    All positions' gains come from one :func:`gain_vectors` call; each
+    transmitter's gain goes to each of its layers.  The models share the
+    table's read-only input arrays and its geometric tie-break keys, so the
+    table must be built from ``scene``; their own gains are read-only too.
     """
-    from .channel import gain_vector
+    nu2 = table.nu**2
+    nu2.setflags(write=False)
+    noise_var = float(scene.sigma**2)
+    for tx_gains in gain_vectors(scene, positions, filter_index):
+        gains = tx_gains[table.tx]
+        gains.setflags(write=False)
+        yield RateModel(gains=gains, nu2=nu2, var=table.var, phi=table.phi,
+                        noise_var=noise_var, tiebreak=table.tiebreak)
 
-    return model_at(
-        table, gain_vector(scene, position, filter_index), scene.sigma**2, table.tiebreak
-    )
+
+def model_at_position(scene, table: LayerTable, position, filter_index: int) -> RateModel:
+    """Rate model at one 3D receiver position: :func:`models_at` on a batch of one."""
+    return next(models_at(scene, table, [position], filter_index))
 
 
 def achievable_rate(

@@ -101,11 +101,15 @@ class LayerTable:
     number ascending within a transmitter.  The 1-based linear index of layer
     ``k`` is ``k + 1``.
 
+    Every transmitter carries ``layers_per_tx`` layers, so layer ``k`` is
+    layer ``k % layers_per_tx`` of transmitter ``k // layers_per_tx``.
+
     ``tiebreak`` holds the reflection-invariant (L, 2) keys that resolve
     exactly tied greedy stages.  They depend only on |x| and |y| of each
     layer's transmitter relative to the room's vertical center axis, so
     ties resolve consistently across mirrored receiver positions; every
-    scene-built rate model carries them.
+    scene-built rate model carries them.  Rate models share the table's
+    arrays rather than copy them, so every array is read-only.
     """
 
     tx: np.ndarray        # (L,) transmitter index per layer
@@ -116,8 +120,8 @@ class LayerTable:
     mean: np.ndarray      # truncated mean
     var: np.ndarray       # truncated variance
     phi: np.ndarray       # entropy constant, nats
-    layers_per_tx: np.ndarray
-    tiebreak: np.ndarray  # (L, 2) geometric tie-break keys, read-only
+    layers_per_tx: int
+    tiebreak: np.ndarray  # (L, 2) geometric tie-break keys
 
     @property
     def n_layers(self) -> int:
@@ -139,38 +143,29 @@ class LayerTable:
             fh.write("\n".join(rows) + "\n")
 
 
-def build_layer_set(scene: Scene, layers_per_tx) -> LayerTable:
-    """Calibrate every layer of every transmitter and index them linearly."""
-    counts = np.broadcast_to(np.asarray(layers_per_tx, dtype=int), (scene.n_tx,)).copy()
-    if np.any(counts < 1):
+def build_layer_set(scene: Scene, layers_per_tx: int) -> LayerTable:
+    """Calibrate ``layers_per_tx`` layers of every transmitter and index them linearly.
+
+    A transmitter's layers share one calibration, made once per distinct
+    (peak, average) power pair of the scene.
+    """
+    if layers_per_tx < 1:
         raise CalibrationError("every transmitter needs at least one layer")
-    cache: dict[tuple[float, float, int], TGParams] = {}
-    cols: dict[str, list[float]] = {k: [] for k in ("peak", "mu", "nu", "mean", "var", "phi")}
-    tx_ids, layer_nos = [], []
-    for i in range(scene.n_tx):
-        key = (float(scene.peak_power[i]), float(scene.avg_power[i]), int(counts[i]))
-        if key not in cache:
-            cache[key] = calibrate_layer(*key)
-        p = cache[key]
-        for b in range(counts[i]):
-            tx_ids.append(i)
-            layer_nos.append(b)
-            cols["peak"].append(p.peak)
-            cols["mu"].append(p.mu)
-            cols["nu"].append(p.nu)
-            cols["mean"].append(p.mean)
-            cols["var"].append(p.var)
-            cols["phi"].append(p.phi)
-    tx = np.array(tx_ids, dtype=int)
+    powers = list(zip(scene.peak_power.tolist(), scene.avg_power.tolist()))
+    calibrated = {pair: calibrate_layer(*pair, layers_per_tx) for pair in dict.fromkeys(powers)}
+    per_tx = [calibrated[pair] for pair in powers]
+    tx = np.repeat(np.arange(scene.n_tx), layers_per_tx)
     ax = np.abs(scene.tx_positions[:, 0])
     ay = np.abs(scene.tx_positions[:, 1])
-    tiebreak = np.column_stack([ax + ay, ay - ax])[tx]
-    # Rate models share this array rather than copy it.
-    tiebreak.setflags(write=False)
-    return LayerTable(
-        tx=tx,
-        layer_no=np.array(layer_nos, dtype=int),
-        layers_per_tx=counts,
-        tiebreak=tiebreak,
-        **{k: np.array(v) for k, v in cols.items()},
-    )
+    arrays = {
+        "tx": tx,
+        "layer_no": np.tile(np.arange(layers_per_tx), scene.n_tx),
+        **{
+            name: np.repeat([getattr(p, name) for p in per_tx], layers_per_tx)
+            for name in ("peak", "mu", "nu", "mean", "var", "phi")
+        },
+        "tiebreak": np.column_stack([ax + ay, ay - ax])[tx],
+    }
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return LayerTable(layers_per_tx=layers_per_tx, **arrays)

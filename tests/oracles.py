@@ -92,7 +92,7 @@ def grid_index(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
 
 def layer_id(table: LayerTable, tx: int, layer_no: int) -> int:
     """0-based layer id of (transmitter, layer number)."""
-    return int(np.sum(table.layers_per_tx[:tx])) + layer_no
+    return tx * table.layers_per_tx + layer_no
 
 
 def _position_permutation(scene: Scene, transform: str) -> np.ndarray | None:

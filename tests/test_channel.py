@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from vlcmap.channel import (
     ColorBand,
-    derive_spectrum,
     filter_gain_matrix,
     gain_vector,
     gain_vectors,
@@ -32,21 +31,27 @@ REFERENCE_FILTER_MATRIX = np.array(
 
 class TestSpectrum:
     def test_mean_is_band_center(self):
-        band = derive_spectrum(ColorBand(380.0, 480.0, 0.1))
+        band = ColorBand(380.0, 480.0, 0.1)
         assert band.mean_nm == 430.0
 
     def test_tail_mass_equals_half_leakage(self):
         from scipy.special import ndtr
 
-        band = derive_spectrum(ColorBand(500.0, 550.0, 0.2))
+        band = ColorBand(500.0, 550.0, 0.2)
         upper_tail = 1.0 - ndtr((band.high_nm - band.mean_nm) / band.std_nm)
         assert upper_tail == pytest.approx(0.1, rel=1e-12)
 
     def test_invalid_leakage_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            derive_spectrum(ColorBand(380.0, 480.0, 0.0))
-        with pytest.raises(InvalidParameterError):
-            derive_spectrum(ColorBand(480.0, 380.0, 0.1))
+        with pytest.raises(InvalidParameterError, match=r"leakage must be in \(0, 1\), got 0.0"):
+            ColorBand(380.0, 480.0, 0.0)
+        with pytest.raises(InvalidParameterError, match=r"out of order: \(480.0, 380.0\)"):
+            ColorBand(480.0, 380.0, 0.1)
+        with pytest.raises(InvalidParameterError, match="no finite quantile"):
+            ColorBand(380.0, 480.0, 1e-300)
+
+    def test_spectrum_is_not_settable(self):
+        with pytest.raises(TypeError):
+            ColorBand(380.0, 480.0, 0.1, mean_nm=430.0)
 
 
 class TestFilterMatrix:

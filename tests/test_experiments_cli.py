@@ -615,6 +615,35 @@ class TestCli:
         assert "Traceback" not in res.output
         assert "bad map file" in res.output
 
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [("xs", 0, math.nan), ("ys", -1, math.inf), ("z", None, math.inf)],
+        ids=["nan-xs", "infinite-ys", "infinite-z"],
+    )
+    @pytest.mark.parametrize("command", ["map-inspect-at", "map-reduce"])
+    def test_a_map_file_with_a_non_finite_grid_is_a_config_error(
+        self, small_map, command, key, index, value
+    ):
+        scene, path, _ = small_map
+        payload = json.loads(path.read_text())
+        at = [repr(payload["xs"][1]), repr(payload["ys"][1])]  # a sample left finite
+        if index is None:
+            payload[key] = value
+        else:
+            payload[key][index] = value
+        path.write_text(json.dumps(payload))
+        before = path.read_bytes()
+        args = {
+            "map-inspect-at": ["map", "inspect", "--map", str(path), "--at", *at],
+            "map-reduce": ["map", "reduce", "--scene", str(scene), "--map", str(path)],
+        }[command]
+        res = self.runner.invoke(main, args)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert res.output.startswith("error: bad map file") and res.output.count("\n") == 1
+        assert "sample grid (xs, ys, z) must be finite" in res.output
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["map-reduce", "map-build", "assoc-solve", "sweep-run"])
     def test_unwritable_out_is_config_error(self, small_map, tmp_path, command):
         # --out under a missing directory, under a file, or on a file.
@@ -659,6 +688,21 @@ class TestCli:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "Traceback" not in res.output
         assert "sweep" in res.output
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("step", ["1e-308", "5e-324"])
+    def test_sweep_run_step_too_small_to_build_is_a_config_error(self, tmp_path, step):
+        # Both steps are positive and finite; neither axis can be built, and
+        # neither asks numpy for an array.
+        out = tmp_path / "s"
+        res = self.runner.invoke(main, [
+            "sweep", "run", "--a-range", "0", "1", "--b-range", "0", "0", "--step", step,
+            "--population", "16", "--generations", "5", "--out", str(out),
+        ])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "Traceback" not in res.output
+        assert res.output.startswith("error: sweep range") and res.output.count("\n") == 1
+        assert "anchors on one axis, more than can be built" in res.output
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize(

@@ -11,8 +11,8 @@ from vlcmap.rates import (
     _set_margins,
     _set_rates,
     achievable_rate,
-    model_at,
     model_at_position,
+    models_at,
     subsets_in_bitmask_order,
 )
 
@@ -220,13 +220,33 @@ class TestRateMargin:
 
 
 class TestModelBuilders:
-    def test_model_at_expands_tx_gains(self, benchmark_scene, benchmark_table):
-        n_tx = benchmark_scene.n_tx
-        tx_gains = np.arange(n_tx, dtype=float)
-        model = model_at(benchmark_table, tx_gains, 1e-10)
-        # Both layers of each transmitter share its gain.
-        np.testing.assert_array_equal(model.gains, np.repeat(tx_gains, 2))
-        assert model.n_layers == benchmark_table.n_layers == 2 * n_tx
+    def test_models_at_equals_model_at_position(self, benchmark_scene, benchmark_table):
+        z = benchmark_scene.plane.height
+        positions = [(0.1, -0.2, z), (-0.45, 0.3, z), (0.0, 0.0, z + 0.1), (1.4, 1.4, z)]
+        models = list(models_at(benchmark_scene, benchmark_table, positions, 0))
+        assert len(models) == len(positions)
+        for pos, model in zip(positions, models):
+            one = model_at_position(benchmark_scene, benchmark_table, pos, 0)
+            for name in ("gains", "nu2", "var", "phi", "tiebreak"):
+                np.testing.assert_array_equal(getattr(model, name), getattr(one, name))
+            assert model.noise_var == one.noise_var
+            # Both layers of each transmitter carry its gain.
+            tx_gains = model.gains.reshape(benchmark_scene.n_tx, 2)
+            np.testing.assert_array_equal(tx_gains[:, 0], tx_gains[:, 1])
+            assert model.n_layers == benchmark_table.n_layers == 2 * benchmark_scene.n_tx
+        assert not np.array_equal(models[0].gains, models[1].gains)
+
+    def test_models_share_the_tables_read_only_arrays(self, benchmark_scene, benchmark_table):
+        z = benchmark_scene.plane.height
+        a, b = models_at(benchmark_scene, benchmark_table, [(0.1, 0.0, z), (0.0, 0.1, z)], 0)
+        assert a.var is b.var is benchmark_table.var
+        assert a.phi is b.phi is benchmark_table.phi
+        assert a.tiebreak is b.tiebreak is benchmark_table.tiebreak
+        assert a.nu2 is b.nu2
+        np.testing.assert_array_equal(a.nu2, benchmark_table.nu**2)
+        for model in (a, b):
+            for name in ("gains", "nu2", "var", "phi", "tiebreak"):
+                assert not getattr(model, name).flags.writeable, name
 
     def test_model_at_position_consistent(self, benchmark_scene, benchmark_table):
         pos = np.array([0.1, -0.2, benchmark_scene.plane.height])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -91,6 +93,29 @@ class TestLayerTable:
         assert layer_id(t, 3, 1) == 7
         assert t.pair(0) == (1, 1)
         assert t.pair(7) == (4, 2)
+
+    def test_mixed_powers_calibrate_per_transmitter(self, corner_scene):
+        # Two distinct (peak, avg) pairs, interleaved over the transmitters.
+        first = np.arange(corner_scene.n_tx) % 3 == 0
+        scene = replace(
+            corner_scene,
+            peak_power=np.where(first, 1.0, 2.0),
+            avg_power=np.where(first, 0.5, 0.3),
+        )
+        table = build_layer_set(scene, 3)
+        assert table.layers_per_tx == 3 and table.n_layers == 3 * scene.n_tx
+        for tx in range(scene.n_tx):
+            want = calibrate_layer(scene.peak_power[tx], scene.avg_power[tx], 3)
+            rows = np.flatnonzero(table.tx == tx)
+            np.testing.assert_array_equal(rows, [layer_id(table, tx, b) for b in range(3)])
+            np.testing.assert_array_equal(table.layer_no[rows], [0, 1, 2])
+            for name in ("peak", "mu", "nu", "mean", "var", "phi"):
+                np.testing.assert_array_equal(getattr(table, name)[rows], getattr(want, name))
+        assert np.unique(table.phi).size == 2
+
+    def test_arrays_are_read_only(self, benchmark_table):
+        for name in ("tx", "layer_no", "peak", "mu", "nu", "mean", "var", "phi", "tiebreak"):
+            assert not getattr(benchmark_table, name).flags.writeable, name
 
     def test_uniform_layers_share_parameters(self, benchmark_table):
         t = benchmark_table
